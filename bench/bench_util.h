@@ -8,6 +8,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "ecodb/ecodb.h"
 #include "ecodb/util/strings.h"
@@ -51,6 +52,15 @@ inline std::string Pct(double ratio) {
 
 inline std::string F(double v, int digits = 3) {
   return StrFormat("%.*f", digits, v);
+}
+
+/// Opens a BENCH_*.json document with the fields every one records: the
+/// bench name, the scale factor, the host CPU count and the CMake build
+/// type the bench was compiled in.
+inline void PrintJsonHeader(const char* bench, double sf) {
+  std::printf("{\n  \"bench\": \"%s\",\n  \"sf\": %g,\n", bench, sf);
+  std::printf("  \"host_cpus\": %u,\n", std::thread::hardware_concurrency());
+  std::printf("  \"build_type\": \"%s\",\n", ECODB_BUILD_TYPE);
 }
 
 inline void Header(const char* title, const char* paper_ref) {

@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -359,10 +358,9 @@ int Main(int argc, char** argv) {
     return tpch::BuildQ6Plan(c, tpch::Q6Params{});
   });
 
-  std::printf("{\n  \"bench\": \"micro_engine\",\n  \"sf\": %g,\n", sf);
+  PrintJsonHeader("micro_engine", sf);
   std::printf("  \"batch_rows\": %zu,\n",
               static_cast<size_t>(RowBatch::kDefaultBatchRows));
-  std::printf("  \"host_cpus\": %u,\n", std::thread::hardware_concurrency());
   std::printf("  \"benchmarks\": [\n");
   std::vector<std::pair<std::string, double>> speedups;
   std::vector<std::pair<std::string, double>> batch_walls;
@@ -379,16 +377,14 @@ int Main(int argc, char** argv) {
   }
   std::printf("  ],\n");
 
-  // Morsel-parallel workers sweep: the same batch plans on the parallel
-  // engine at increasing worker counts. Wall time is host time; the
-  // simulated metrics are replayed deterministically and must agree with
-  // the sequential batch run (the parity suite enforces it). One database
-  // is reused across worker counts — exec_workers is a per-query knob.
+  // Workers sweep: the same batch plans on the simulated-core schedule
+  // (exec/morsel.h) at increasing worker counts. Execution is
+  // single-threaded at every count, so the simulated metrics equal the
+  // batch run's and "speedup_vs_batch" (host wall time) only shows the
+  // host's timing noise. One database is reused across worker counts —
+  // exec_workers is a per-query knob.
   //
-  // Two speedups are reported per point. "speedup_vs_batch" is host wall
-  // time and depends on the machine running this bench (on a single-CPU
-  // host it cannot exceed 1 for any implementation — see "host_cpus" in
-  // the header). "sim_core_speedup" is the simulator's own concurrency
+  // "sim_core_speedup" is the simulator's own concurrency
   // view: after one run with fresh core ledgers, the sum of per-core busy
   // seconds (the work one core would serialize) over the phase makespan
   // (the slowest core). It is deterministic, host-independent, and capped
@@ -454,10 +450,10 @@ int Main(int argc, char** argv) {
         busy_sum += c.busy_s;
       }
       ParallelPhaseSummary ph = par_db.machine()->SummarizeCorePhase();
-      // Per-phase slices: morsel pools mark a named phase per parallel
-      // stage ("stream", "join_build", "agg", "sort"). Same-label slices
-      // (one per pool) are merged core-wise before summarizing, so each
-      // label reports its own work volume / makespan = core speedup.
+      // Per-phase slices: each spine marks a named phase ("stream",
+      // "join_build", "agg", "sort"). Same-label slices (one per spine)
+      // are merged core-wise before summarizing, so each label reports
+      // its own work volume / makespan = core speedup.
       struct PhaseAgg {
         std::string label;
         std::vector<CoreLedger> ledgers;

@@ -6,12 +6,12 @@
 // rejections/opens, degradation-ladder escalations).
 //
 // Everything reported is *simulated* — a pure function of (seed,
-// workload, options) — so the JSON is bit-identical run to run; no host
-// wall-clock figures appear in this section. Emits JSON on stdout for
-// splicing into BENCH_micro_engine.json under
-// "workload_scheduler_benchmarks".
+// workload, options) — so the results are bit-identical run to run; no
+// host wall-clock figures appear. Emits a whole JSON document on stdout,
+// committed as BENCH_workload_scheduler.json (its own file, so
+// regenerating another bench's file cannot drop this one).
 //
-// Usage: workload_scheduler [--sf=0.002]
+// Usage: workload_scheduler [--sf=0.002] > BENCH_workload_scheduler.json
 
 #include <cstdio>
 #include <memory>
@@ -103,7 +103,8 @@ int Main(int argc, char** argv) {
       {"storm", 5e-3, 2e-4},
   };
 
-  std::printf("{\n  \"workload_scheduler_benchmarks\": [\n");
+  PrintJsonHeader("workload_scheduler", sf);
+  std::printf("  \"workload_scheduler_benchmarks\": [\n");
   bool first = true;
   for (double qps : arrival_rates) {
     for (const FaultConfig& faults : fault_configs) {

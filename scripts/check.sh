@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Build and run the full test suite in the default configuration plus the
-# Address-, UndefinedBehavior- and ThreadSanitizer configurations, so the
-# sanitizer suites actually gate changes instead of rotting. This is the
-# command CI (and any PR author) should run before merging:
+# Address- and UndefinedBehaviorSanitizer configurations, so the sanitizer
+# suites actually gate changes instead of rotting. This is the command CI
+# (and any PR author) should run before merging:
 #
 #   scripts/check.sh            # all configs
 #   scripts/check.sh --fast     # default config only
 #
-# Build trees: build/ (default), build-asan/ (ECODB_SANITIZE=address),
-# build-ubsan/ (ECODB_SANITIZE=undefined) and build-tsan/
-# (ECODB_SANITIZE=thread, morsel-parallel suites only).
+# Build trees: build/ (default), build-asan/ (ECODB_SANITIZE=address) and
+# build-ubsan/ (ECODB_SANITIZE=undefined).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -48,10 +47,11 @@ echo "=== bench smoke: micro_engine --sf=0.001 ==="
 echo "=== bench smoke: workload_scheduler --sf=0.001 ==="
 ./build/bench/workload_scheduler --sf=0.001 > /dev/null
 
-# Worker-count parity smoke: the fuzz harness holds the morsel-parallel
-# engine bit-exact against the row oracle at 1, 2 and 8 workers (the
-# default suite run above covers 3). A worker count of 1 exercises the
-# clamp path; 8 oversubscribes the 2-core model.
+# Worker-count parity smoke: the fuzz harness holds the simulated-core
+# schedule bit-identical to the unscheduled batch run (and both to the row
+# oracle) at 1, 2 and 8 workers (the default suite run above covers 3).
+# A worker count of 1 schedules nothing; 8 oversubscribes the 2-core
+# model.
 echo "=== workers parity smoke: 1/2/8 workers x 24 plans ==="
 for w in 1 2 8; do
   ECODB_FUZZ_WORKERS="${w}" ECODB_FUZZ_PLANS=24 \
@@ -81,24 +81,6 @@ if [[ "${FAST}" == "0" ]]; then
   ECODB_FUZZ_SEED=0xD1C7 ECODB_FUZZ_PLANS=24 \
     ./build-asan/batch_parity_fuzz_test --gtest_brief=1
   run_config build-ubsan -DECODB_SANITIZE=undefined
-  # ThreadSanitizer leg: build once, then run only the suites that spawn
-  # morsel workers (the rest of the suite is single-threaded and already
-  # covered by the ASan/UBSan legs — a full TSan ctest would double the
-  # wall time for no extra interleavings).
-  echo "=== configure/build: build-tsan (ECODB_SANITIZE=thread) ==="
-  cmake -B build-tsan -S . -DECODB_SANITIZE=thread
-  cmake --build build-tsan -j "${JOBS}"
-  echo "=== tsan: bounded_queue_test ==="
-  ./build-tsan/bounded_queue_test
-  echo "=== tsan: parallel_exec_test (incl. pipeline-breaker suites) ==="
-  ./build-tsan/parallel_exec_test
-  # Both fuzz corpora run here: the mixed-plan corpus and the breaker-root
-  # corpus (every plan ends in an agg/sort/build breaker), each at 8
-  # workers so the breaker coordinator/worker handoffs get oversubscribed
-  # interleavings under TSan.
-  echo "=== tsan: batch_parity_fuzz_test (8 workers x 24 plans/corpus) ==="
-  ECODB_FUZZ_WORKERS=8 ECODB_FUZZ_PLANS=24 \
-    ./build-tsan/batch_parity_fuzz_test --gtest_brief=1
 fi
 
 echo "=== all checks passed ==="

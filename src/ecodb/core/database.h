@@ -27,12 +27,11 @@ struct DatabaseOptions {
   /// How query plans are executed. Batch (vectorized) by default; row
   /// mode keeps the Volcano pull loop for comparison/parity runs.
   ExecMode exec_mode = ExecMode::kBatch;
-  /// Morsel-driven worker threads for eligible batch pipelines. 1 (the
-  /// default) keeps execution single-threaded. Clamped to 1 per query
-  /// when the mode is kRow, the profile is disk-backed, or a governor is
-  /// attached — those paths interleave machine state mid-pipeline and
-  /// stay on the sequential engine. Results and logical-work counters are
-  /// bit-exact vs. single-threaded at any worker count.
+  /// Simulated morsel workers (exec/morsel.h): with more than 1, batch
+  /// pipelines also accrue their work on the machine's per-core ledgers
+  /// as if morsel m ran on worker m % exec_workers. Execution stays
+  /// single-threaded, so results, counters and energy are identical at
+  /// any count. Row mode always runs with 1.
   int exec_workers = 1;
   /// Per-query limits applied by the governor (default: none — queries
   /// run ungoverned exactly as before). Adjustable between queries via

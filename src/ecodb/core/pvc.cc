@@ -76,7 +76,7 @@ Result<CoreTradeoffCurve> PvcController::MeasureCorePhaseCurve(
   Machine* machine = db_->machine();
   const int n_cores = machine->num_cores();
 
-  // Capture: one parallel run at the current settings fills the core
+  // Capture: one scheduled run at the current settings fills the core
   // ledgers with each core's raw (cycles, mem_lines) morsel work.
   const int prev_workers = db_->exec_workers();
   db_->set_exec_workers(n_cores);

@@ -73,7 +73,7 @@ class PvcController {
   /// "eco core" absorbing the overflow morsels).
   static std::vector<std::vector<SystemSettings>> PerCoreGrid(int num_cores);
 
-  /// The per-core PVC knob. Runs `workload` once in parallel
+  /// The per-core PVC knob. Runs `workload` once on the core schedule
   /// (exec_workers = num_cores) at the machine's current settings to
   /// capture each core's raw morsel work (cycles, cache lines) from the
   /// core ledgers, then re-prices that captured work under every

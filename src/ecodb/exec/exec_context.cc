@@ -15,7 +15,7 @@ ExecContext::ExecContext(Machine* machine, const EngineProfile* profile,
   double uc = machine_->settings().underclock;
   cycle_inflation_ = 1.0 + profile_->underclock_cpi_penalty * uc * uc * uc;
   // Per-context, not machine-global: two contexts with different profiles
-  // (or per-core worker contexts) must not stomp each other's load class.
+  // must not stomp each other's load class.
   load_class_ = profile_->load_class;
   tracker_.BindPeakMirror(&stats_.peak_memory_bytes);
 }
@@ -49,7 +49,6 @@ void ExecContext::ChargeScanTuples(uint64_t n, uint64_t total_bytes) {
                          static_cast<double>(total_bytes);
   pending_lines_ += (static_cast<double>(total_bytes) / 64.0) *
                     profile_->scan_line_factor;
-  Record({ChargeRecord::Kind::kScanTuples, n, total_bytes, 0.0, 0.0});
   MaybeFlush();
 }
 
@@ -60,8 +59,6 @@ void ExecContext::ChargeHashBuilds(uint64_t n, int key_bytes) {
       static_cast<double>(n) * (profile_->hash_build_cycles +
                                 profile_->scan_byte_cycles * key_bytes);
   pending_lines_ += profile_->hash_op_lines * static_cast<double>(n);
-  Record({ChargeRecord::Kind::kHashBuilds, n,
-          static_cast<uint64_t>(key_bytes), 0.0, 0.0});
   MaybeFlush();
 }
 
@@ -72,8 +69,6 @@ void ExecContext::ChargeHashProbes(uint64_t n, int key_bytes) {
       static_cast<double>(n) * (profile_->hash_probe_cycles +
                                 profile_->scan_byte_cycles * key_bytes);
   pending_lines_ += profile_->hash_op_lines * static_cast<double>(n);
-  Record({ChargeRecord::Kind::kHashProbes, n,
-          static_cast<uint64_t>(key_bytes), 0.0, 0.0});
   MaybeFlush();
 }
 
@@ -82,8 +77,6 @@ void ExecContext::ChargeAggUpdates(uint64_t n, int n_aggregates) {
   stats_.agg_updates += n;
   pending_cycles_ +=
       static_cast<double>(n) * profile_->agg_update_cycles * n_aggregates;
-  Record({ChargeRecord::Kind::kAggUpdates, n,
-          static_cast<uint64_t>(n_aggregates), 0.0, 0.0});
   MaybeFlush();
 }
 
@@ -91,7 +84,6 @@ void ExecContext::ChargeSortCompares(uint64_t n) {
   if (n == 0) return;
   stats_.sort_compares += n;
   pending_cycles_ += profile_->sort_compare_cycles * static_cast<double>(n);
-  Record({ChargeRecord::Kind::kSortCompares, n, 0, 0.0, 0.0});
   MaybeFlush();
 }
 
@@ -102,8 +94,6 @@ void ExecContext::ChargeOutputTuples(uint64_t n, int bytes_per_tuple) {
       static_cast<double>(n) * (profile_->output_tuple_cycles +
                                 profile_->output_byte_cycles * bytes_per_tuple);
   pending_lines_ += profile_->output_tuple_lines * static_cast<double>(n);
-  Record({ChargeRecord::Kind::kOutputTuples, n,
-          static_cast<uint64_t>(bytes_per_tuple), 0.0, 0.0});
   MaybeFlush();
 }
 
@@ -116,8 +106,6 @@ void ExecContext::ChargeEvalOps() {
   pending_cycles_ +=
       profile_->compare_cycles * static_cast<double>(eval_.comparisons) +
       profile_->arith_cycles * static_cast<double>(eval_.arith_ops);
-  Record({ChargeRecord::Kind::kEvalOps, eval_.comparisons, eval_.arith_ops,
-          0.0, 0.0});
   eval_ = EvalCounters();
   MaybeFlush();
 }
@@ -125,7 +113,6 @@ void ExecContext::ChargeEvalOps() {
 void ExecContext::ChargeCycles(double cycles, double mem_lines) {
   pending_cycles_ += cycles;
   pending_lines_ += mem_lines;
-  Record({ChargeRecord::Kind::kCycles, 0, 0, cycles, mem_lines});
   MaybeFlush();
 }
 
@@ -195,10 +182,6 @@ void ExecContext::MaybeFlush() {
     pending_lines_ = 0;
     return;
   }
-  // Recording contexts never touch the machine; pending work simply
-  // accumulates until Flush folds it into the worker's stats. The quantum
-  // schedule is reproduced when the coordinator replays the log.
-  if (recording_ != nullptr) return;
   while (pending_cycles_ >= kFlushCycleThreshold) {
     const double frac = kFlushCycleThreshold / pending_cycles_;
     const double lines = pending_lines_ * frac;
@@ -231,47 +214,9 @@ void ExecContext::Flush() {
   double cycles = pending_cycles_ * cycle_inflation_;
   stats_.cycles_charged += cycles;
   stats_.mem_lines_charged += pending_lines_;
-  if (recording_ == nullptr) {
-    machine_->ExecuteCpu(cycles, pending_lines_, load_class_);
-  }
+  machine_->ExecuteCpu(cycles, pending_lines_, load_class_);
   pending_cycles_ = 0;
   pending_lines_ = 0;
-}
-
-void ExecContext::ReplayChargeLog(const ChargeLog& log) {
-  for (const ChargeRecord& rec : log) {
-    switch (rec.kind) {
-      case ChargeRecord::Kind::kScanTuples:
-        ChargeScanTuples(rec.a, rec.b);
-        break;
-      case ChargeRecord::Kind::kHashBuilds:
-        ChargeHashBuilds(rec.a, static_cast<int>(rec.b));
-        break;
-      case ChargeRecord::Kind::kHashProbes:
-        ChargeHashProbes(rec.a, static_cast<int>(rec.b));
-        break;
-      case ChargeRecord::Kind::kAggUpdates:
-        ChargeAggUpdates(rec.a, static_cast<int>(rec.b));
-        break;
-      case ChargeRecord::Kind::kSortCompares:
-        ChargeSortCompares(rec.a);
-        break;
-      case ChargeRecord::Kind::kOutputTuples:
-        ChargeOutputTuples(rec.a, static_cast<int>(rec.b));
-        break;
-      case ChargeRecord::Kind::kEvalOps:
-        // Re-create the drain point: add the worker's counters to this
-        // context's accumulator and drain, exactly as the single-threaded
-        // operator's ChargeEvalOps call would have at this position.
-        eval_.comparisons += rec.a;
-        eval_.arith_ops += rec.b;
-        ChargeEvalOps();
-        break;
-      case ChargeRecord::Kind::kCycles:
-        ChargeCycles(rec.x, rec.y);
-        break;
-    }
-  }
 }
 
 void ExecContext::ResetStats() {

@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "ecodb/core/engine_profile.h"
-#include "ecodb/exec/charge_log.h"
 #include "ecodb/exec/query_governor.h"
 #include "ecodb/sim/machine.h"
 #include "ecodb/storage/buffer_pool.h"
@@ -80,10 +79,9 @@ class ExecContext {
   ExecMode exec_mode() const { return exec_mode_; }
   void set_exec_mode(ExecMode m) { exec_mode_ = m; }
 
-  /// Worker count the morsel layer may use for eligible pipelines; 1 means
-  /// single-threaded (the default and the parity oracle). Set by
-  /// Database::ExecutePlanQuery after clamping (batch mode only,
-  /// memory-resident profile, no governor).
+  /// Simulated workers of the morsel schedule (exec/morsel.h); 1 (the
+  /// default) accrues no per-core work. Execution itself is single-threaded
+  /// at any count. Database::ExecutePlanQuery clamps row mode to 1.
   int exec_workers() const { return exec_workers_; }
   void set_exec_workers(int n) { exec_workers_ = n < 1 ? 1 : n; }
 
@@ -91,29 +89,6 @@ class ExecContext {
   /// construction so two contexts with different profiles can charge the
   /// same Machine concurrently without stomping a shared global.
   LoadClass load_class() const { return load_class_; }
-
-  // --- Charge recording (morsel workers) ---
-
-  /// Routes subsequent charges into `log` instead of the machine: Charge*
-  /// calls update stats_ and append one ChargeRecord each; Flush folds
-  /// pending cycles/lines into stats_ without machine contact (the worker
-  /// totals feed per-core accrual). The coordinator replays the log later
-  /// for the parity account. Pass nullptr to stop recording.
-  void BeginRecording(ChargeLog* log) { recording_ = log; }
-  bool recording() const { return recording_ != nullptr; }
-  /// The log charges are currently routed into (null when charging the
-  /// machine directly). Lets a scope divert charges into a scratch log
-  /// and restore the previous target afterwards — see ScopedScratchCharges
-  /// in exec/morsel.cc: breaker drivers charge workers' as-if-local work
-  /// (hash builds they only partially perform, canonical replays the
-  /// coordinator re-issues) into worker stats for the per-core concurrency
-  /// view without letting it leak into the replayed parity stream.
-  ChargeLog* recording_log() const { return recording_; }
-
-  /// Re-applies a recorded charge stream through this context's normal
-  /// charge path (stats, flush quanta, machine, governor) — the
-  /// deterministic fold of worker charges into the shared ledger.
-  void ReplayChargeLog(const ChargeLog& log);
 
   // --- Logical work reporting (called by operators) ---
   //
@@ -165,6 +140,15 @@ class ExecContext {
   const QueryExecStats& stats() const { return stats_; }
   void ResetStats();
 
+  /// Cycles / memory lines charged so far, pending (not yet flushed) work
+  /// included — what the morsel schedule reads at morsel boundaries.
+  double charged_cycles() const {
+    return stats_.cycles_charged + pending_cycles_ * cycle_inflation_;
+  }
+  double charged_mem_lines() const {
+    return stats_.mem_lines_charged + pending_lines_;
+  }
+
   /// Folds result-surface InternDedup counters into stats. Diagnostics
   /// only — no cycles are charged and the parity suite ignores these.
   void AddDictDedupCounters(uint64_t hits, uint64_t misses) {
@@ -205,10 +189,6 @@ class ExecContext {
  private:
   void MaybeFlush();
 
-  void Record(const ChargeRecord& rec) {
-    if (recording_ != nullptr) recording_->push_back(rec);
-  }
-
   /// Quantum of the auto-drain (~6 simulated ms at 3.2 GHz): large enough
   /// that the lines-vs-cycles mix of one quantum is insensitive to charge
   /// arrival order (row-vs-batch energy parity on even sub-millisecond
@@ -227,7 +207,6 @@ class ExecContext {
   int exec_workers_ = 1;
   LoadClass load_class_ = LoadClass::kSustained;
   QueryGovernor* governor_ = nullptr;  ///< not owned; null = no limits
-  ChargeLog* recording_ = nullptr;     ///< not owned; null = charge machine
   MemoryTracker tracker_;
 
   double pending_cycles_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "ecodb/exec/simd.h"
 #include "ecodb/util/strings.h"
@@ -40,7 +41,7 @@ inline simd::CmpOp ToSimdOp(CompareOp op) {
 
 /// Reusable byte-mask / conversion scratch for the SIMD compare paths.
 /// thread_local (not ExprScratch) so the kernels can run from any operator
-/// without plumbing; grows to batch size once per worker thread, keeping
+/// without plumbing; grows to batch size once per thread, keeping
 /// steady-state execution allocation-free.
 inline uint8_t* MaskScratch(size_t n) {
   static thread_local std::vector<uint8_t> buf;
@@ -767,6 +768,34 @@ ValueType ArithResultType(const ExprPtr& l, const ExprPtr& r) {
 
 }  // namespace
 
+namespace {
+
+/// int64 arithmetic. A result int64 cannot hold (overflow, INT64_MIN / -1)
+/// is NULL, like division by zero.
+Value IntArith(ArithOp op, int64_t a, int64_t b) {
+  int64_t out = 0;
+  bool unrepresentable = false;
+  switch (op) {
+    case ArithOp::kAdd:
+      unrepresentable = __builtin_add_overflow(a, b, &out);
+      break;
+    case ArithOp::kSub:
+      unrepresentable = __builtin_sub_overflow(a, b, &out);
+      break;
+    case ArithOp::kMul:
+      unrepresentable = __builtin_mul_overflow(a, b, &out);
+      break;
+    case ArithOp::kDiv:
+      unrepresentable =
+          b == 0 || (a == std::numeric_limits<int64_t>::min() && b == -1);
+      if (!unrepresentable) out = a / b;
+      break;
+  }
+  return unrepresentable ? Value::Null() : Value::Int(out);
+}
+
+}  // namespace
+
 ArithExpr::ArithExpr(ArithOp op, ExprPtr left, ExprPtr right)
     : op_(op),
       left_(std::move(left)),
@@ -778,20 +807,7 @@ Value ArithExpr::Eval(const Row& row, EvalCounters* c) const {
   Value r = right_->Eval(row, c);
   if (c != nullptr) ++c->arith_ops;
   if (l.is_null() || r.is_null()) return Value::Null();
-  if (type_ == ValueType::kInt64) {
-    int64_t a = l.AsInt();
-    int64_t b = r.AsInt();
-    switch (op_) {
-      case ArithOp::kAdd:
-        return Value::Int(a + b);
-      case ArithOp::kSub:
-        return Value::Int(a - b);
-      case ArithOp::kMul:
-        return Value::Int(a * b);
-      case ArithOp::kDiv:
-        return b == 0 ? Value::Null() : Value::Int(a / b);
-    }
-  }
+  if (type_ == ValueType::kInt64) return IntArith(op_, l.AsInt(), r.AsInt());
   double a = l.AsDouble();
   double b = r.AsDouble();
   switch (op_) {
@@ -836,22 +852,7 @@ void ArithExpr::EvalBatch(const RowBatch& batch,
         (*out)[r] = Value::Null();
         continue;
       }
-      int64_t a = l.i;
-      int64_t b = rv.i;
-      switch (op_) {
-        case ArithOp::kAdd:
-          (*out)[r] = Value::Int(a + b);
-          break;
-        case ArithOp::kSub:
-          (*out)[r] = Value::Int(a - b);
-          break;
-        case ArithOp::kMul:
-          (*out)[r] = Value::Int(a * b);
-          break;
-        case ArithOp::kDiv:
-          (*out)[r] = b == 0 ? Value::Null() : Value::Int(a / b);
-          break;
-      }
+      (*out)[r] = IntArith(op_, l.i, rv.i);
     }
     return;
   }

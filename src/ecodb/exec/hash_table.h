@@ -39,12 +39,8 @@ namespace ecodb {
 /// tables), so there are no tombstones.
 ///
 /// Chains append at the tail and entries never move, so a payload's
-/// 1-based position in its chain is fixed for the table's lifetime. The
-/// parallel pipeline breakers' canonical charge accounting
-/// (exec/morsel.cc) leans on exactly this: the coordinator can memoize a
-/// group's chain rank once and re-issue the sequential engine's compare
-/// counts on every later lookup, and stitched duplicate chains stay
-/// insertion-order-equivalent to a single-threaded build.
+/// 1-based position in its chain is fixed for the table's lifetime
+/// (HashAggOp's dictionary-key memo relies on it).
 class FlatHashIndex {
  public:
   static constexpr uint32_t kInvalid = 0xFFFFFFFFu;

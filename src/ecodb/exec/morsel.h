@@ -1,86 +1,77 @@
-// Morsel-driven parallel execution over batch pipelines.
+// Simulated-core schedule for morsel-sized pipeline work.
 //
-// A "spine" is the streaming prefix of a batch pipeline — a scan leaf
-// under any stack of filters, projections and hash-join *probes*. The
-// morsel layer splits the spine's base table into fixed-size row ranges
-// (morsels), runs a fresh clone of the spine over each morsel on a pool
-// of worker threads, and re-emits the resulting batches to the parent
-// operator in global morsel order. The pipeline breakers that *consume*
-// spines (hash-join build, aggregation, sort) additionally run their
-// build/accumulate phases in the workers, with the coordinator merging
-// per-worker partitions deterministically (see "Parallel pipeline
-// breakers" in docs/architecture.md).
+// exec_workers > 1 starts no threads. The query runs the ordinary
+// single-threaded operator tree (InstantiatePlan), so rows, every
+// QueryExecStats counter and the shared energy ledger are identical to
+// exec_workers == 1 by construction. The worker count only shapes a
+// *simulated* concurrency view — the per-core ledgers that per-core
+// P-state experiments and sim_core_speedup read (Machine::AccrueCoreWork):
 //
-// Parity contract (the whole point): results and logical-work counters
-// are bit-exact against single-threaded execution at ANY worker count,
-// and simulated energy stays within the row-vs-batch tolerance.
-// Three mechanisms deliver that:
+//  * A "spine" is the streaming prefix of a batch pipeline: a scan leaf
+//    under any stack of filters, projections and hash-join probes.
+//  * The spine's scan leaf splits its table into kMorselRows-row morsels.
+//    Morsel m stands for worker m % W, running on core
+//    (m % W) % num_cores.
+//  * At each morsel boundary, the cycles and memory lines the query's
+//    context charged since the previous boundary accrue on that core:
+//    the spine's per-batch work plus the consuming operator's per-batch
+//    consume work (hash builds, group probes, accumulator updates).
+//  * When the spine is exhausted, the slice is marked as a machine phase
+//    named after the slot the spine drains into: "join_build" (a hash
+//    join's build side), "agg", "sort", or "stream" (any other full-drain
+//    slot).
 //
-//  1. Morsel boundaries are multiples of the batch size, so a worker's
-//     scan emits exactly the batches the full scan would emit for its
-//     range, and concatenating worker outputs in morsel order reproduces
-//     the single-threaded row stream.
-//  2. Workers charge into *recording* ExecContexts (see
-//     ExecContext::BeginRecording): no machine contact, just an ordered
-//     ChargeLog per delivered item. The coordinator replays each log
-//     segment through its own context in global morsel order,
-//     reproducing the single-threaded charge arrival order — the
-//     deterministic fold of parallel work into the shared energy ledger.
-//  3. Pipeline breakers use *canonical charge accounting*: a worker's
-//     recorded log holds only the spine charges (which replay verbatim),
-//     while the breaker's own charges — hash builds, group probes,
-//     bucket-compare walks, accumulator updates, sort compares — are
-//     re-issued by the coordinator itself while it merges the worker
-//     partitions in global morsel order, "as if sequential". The
-//     coordinator's merge reproduces the exact single-threaded data
-//     structures (insertion-order duplicate chains, group pool order,
-//     fp-association of accumulator sums, sort permutation), so the
-//     re-issued charges are not an approximation: the coordinator's
-//     charge stream is bit-identical to the single-threaded one. The
-//     work workers really did (partial grouping, local index sorts,
-//     partition hashing) is charged into scratch logs that feed ONLY
-//     worker stats — the per-core concurrency view — never the parity
-//     ledger.
-//
-// Worker wall-clock totals additionally feed Machine::AccrueCoreWork —
-// the per-core concurrency view used by per-core P-state experiments —
-// without ever touching the shared parity ledger. Each pool marks a
-// named machine phase ("stream", "join_build", "agg", "sort") when it
-// accrues, so benches can report per-phase core speedups.
+// Work before a spine's first batch and after its last one — the final
+// sort, aggregate materialization, spill charges — stays off the core
+// ledgers as the serial tail. A streaming child of a limit may stop early
+// and gets no schedule.
 
 #ifndef ECODB_EXEC_MORSEL_H_
 #define ECODB_EXEC_MORSEL_H_
 
 #include <cstdint>
 
-#include "ecodb/exec/plan.h"
+#include "ecodb/exec/row_batch.h"
 
 namespace ecodb {
 
-/// Rows per morsel. A multiple of RowBatch::kDefaultBatchRows so that
-/// batch boundaries inside a morsel coincide with the single-threaded
-/// scan's batch boundaries. 8 batches (8192 rows) keeps per-morsel
-/// overhead amortized while carving bench-scale tables into enough
-/// morsels that a 2-core packing of the per-morsel work comes out
-/// near-balanced (16-batch morsels left tpch_q1's lineitem at 8 morsels
-/// — a 5/8 vs 3/8 split whose makespan caps the core speedup at 1.84).
+class ExecContext;
+struct PlanNode;
+
+/// Rows per morsel: 8 batches, so morsel boundaries coincide with the
+/// scan's batch boundaries. Small enough that bench-scale tables split
+/// into enough morsels for a near-balanced 2-core packing.
 inline constexpr uint64_t kMorselRows = 8 * RowBatch::kDefaultBatchRows;
 
-/// True when `node` is a parallelizable spine: a kScan leaf under any
-/// stack of kFilter / kProject nodes and kHashJoin probe sides.
+/// True when `node` is a spine: a kScan leaf under any stack of kFilter /
+/// kProject nodes and kHashJoin probe sides.
 bool MorselEligibleSpine(const PlanNode& node);
 
-/// Like InstantiatePlan, but parallelizes every eligible full-drain
-/// spine with ctx->exec_workers() workers: streaming spines are wrapped
-/// in a MorselStreamOp, and pipeline breakers directly over an eligible
-/// spine (aggregate, sort, hash-join build) run their build/accumulate
-/// phase in the worker pool with a coordinator-side deterministic
-/// merge. Slots that may stop early (a streaming child of kLimit) are
-/// never parallelized. With exec_workers() == 1 this is exactly
-/// InstantiatePlan. Batch mode only — the morsel operators have no
-/// row-at-a-time pull.
-Result<OperatorPtr> InstantiateParallelPlan(const PlanNode& node,
-                                            ExecContext* ctx);
+/// The simulated-core schedule of one spine, driven by its scan leaf.
+class MorselSchedule {
+ public:
+  /// `phase` names the machine phase marked at the end (a literal).
+  MorselSchedule(ExecContext* ctx, const char* phase)
+      : ctx_(ctx), phase_(phase) {}
+
+  /// Called by the scan before it emits table row `row`. Crossing into a
+  /// new morsel accrues the previous one on its core.
+  void BeforeRow(uint64_t row);
+  /// End of the spine (or an early Close): accrues the open morsel and
+  /// marks the phase. Idempotent.
+  void Finish();
+
+ private:
+  void AccrueOpenMorsel();
+
+  ExecContext* ctx_;
+  const char* phase_;
+  bool started_ = false;
+  bool finished_ = false;
+  uint64_t morsel_ = 0;  ///< morsel whose charges are accumulating
+  double mark_cycles_ = 0;
+  double mark_lines_ = 0;
+};
 
 }  // namespace ecodb
 

@@ -58,13 +58,6 @@ Status Operator::NextBatchCapped(RowBatch* out, bool* has_rows,
 SeqScanOp::SeqScanOp(ExecContext* ctx, const std::string& table_name)
     : ctx_(ctx), table_name_(table_name) {}
 
-SeqScanOp::SeqScanOp(ExecContext* ctx, const std::string& table_name,
-                     uint64_t begin_row, uint64_t end_row)
-    : ctx_(ctx),
-      table_name_(table_name),
-      begin_row_(begin_row),
-      end_row_(end_row) {}
-
 Status SeqScanOp::Open() {
   const TableEntry* entry = ctx_->catalog()->FindEntry(table_name_);
   if (entry == nullptr) {
@@ -77,18 +70,19 @@ Status SeqScanOp::Open() {
   // compression (4-byte codes instead of string payloads) lowers the
   // scan's simulated byte traffic identically in the two exec modes.
   row_width_ = table_->EncodedRowWidth();
-  next_row_ = static_cast<size_t>(
-      std::min<uint64_t>(begin_row_, table_->num_rows()));
+  next_row_ = 0;
   pages_fetched_ = 0;
   return Status::OK();
 }
 
 Status SeqScanOp::Next(Row* out, bool* has_row) {
   ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
-  if (next_row_ >= std::min<uint64_t>(table_->num_rows(), end_row_)) {
+  if (next_row_ >= table_->num_rows()) {
+    if (schedule_) schedule_->Finish();
     *has_row = false;
     return Status::OK();
   }
+  if (schedule_) schedule_->BeforeRow(next_row_);
   // Page boundary crossing: charge simulated I/O for the page.
   uint64_t rpp = file_->rows_per_page();
   if (next_row_ % rpp == 0) {
@@ -107,11 +101,13 @@ Status SeqScanOp::NextBatch(RowBatch* out, bool* has_rows) {
   ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
   const int num_cols = schema_.num_fields();
   out->Reset(num_cols);
-  const uint64_t total = std::min<uint64_t>(table_->num_rows(), end_row_);
+  const uint64_t total = table_->num_rows();
   if (next_row_ >= total) {
+    if (schedule_) schedule_->Finish();
     *has_rows = false;
     return Status::OK();
   }
+  if (schedule_) schedule_->BeforeRow(next_row_);
   const size_t take = static_cast<size_t>(
       std::min<uint64_t>(RowBatch::kDefaultBatchRows, total - next_row_));
   const size_t batch_start = next_row_;
@@ -142,7 +138,10 @@ Status SeqScanOp::NextBatch(RowBatch* out, bool* has_rows) {
   return Status::OK();
 }
 
-void SeqScanOp::Close() { ctx_->Flush(); }
+void SeqScanOp::Close() {
+  if (schedule_) schedule_->Finish();  // a spine stopped by an error
+  ctx_->Flush();
+}
 
 // --- FilterOp ---
 
@@ -377,34 +376,11 @@ HashJoinOp::HashJoinOp(ExecContext* ctx, OperatorPtr build, OperatorPtr probe,
   assert(build_keys_.size() == probe_keys_.size());
 }
 
-HashJoinOp::HashJoinOp(ExecContext* ctx, JoinBuildStatePtr build,
-                       OperatorPtr probe, std::vector<int> build_keys,
-                       std::vector<int> probe_keys)
-    : ctx_(ctx),
-      probe_child_(std::move(probe)),
-      build_keys_(std::move(build_keys)),
-      probe_keys_(std::move(probe_keys)),
-      build_(std::move(build)),
-      prebuilt_(true) {
-  assert(build_keys_.size() == probe_keys_.size());
-}
-
-HashJoinOp::HashJoinOp(ExecContext* ctx, BuildThunk build_thunk,
-                       OperatorPtr probe, std::vector<int> build_keys,
-                       std::vector<int> probe_keys)
-    : ctx_(ctx),
-      probe_child_(std::move(probe)),
-      build_keys_(std::move(build_keys)),
-      probe_keys_(std::move(probe_keys)),
-      build_thunk_(std::move(build_thunk)) {
-  assert(build_keys_.size() == probe_keys_.size());
-}
-
 bool HashJoinOp::KeysEqualRow(uint32_t idx, const Row& probe_row) {
   for (size_t i = 0; i < build_keys_.size(); ++i) {
     ++ctx_->eval_counters()->comparisons;
     if (CompareCellViews(
-            build_->cols[static_cast<size_t>(build_keys_[i])].View(idx),
+            build_cols_[static_cast<size_t>(build_keys_[i])].View(idx),
             CellView::Of(probe_row[static_cast<size_t>(probe_keys_[i])])) !=
         0) {
       return false;
@@ -418,7 +394,7 @@ bool HashJoinOp::KeysEqualBatch(uint32_t idx, const RowBatch& probe_batch,
   for (size_t i = 0; i < build_keys_.size(); ++i) {
     ++ctx_->eval_counters()->comparisons;
     if (CompareCellViews(
-            build_->cols[static_cast<size_t>(build_keys_[i])].View(idx),
+            build_cols_[static_cast<size_t>(build_keys_[i])].View(idx),
             probe_batch.ViewCell(probe_keys_[i], probe_row)) != 0) {
       return false;
     }
@@ -426,38 +402,30 @@ bool HashJoinOp::KeysEqualBatch(uint32_t idx, const RowBatch& probe_batch,
   return true;
 }
 
-namespace {
-
-/// Drains an (already open) build child into `state`. Shared by the
-/// normal Open path and HashJoinOp::ExecuteBuild; the charge sequence is
-/// identical in both.
-Status ConsumeJoinBuild(ExecContext* ctx, Operator* build_child,
-                        const std::vector<int>& build_keys,
-                        JoinBuildState* state) {
-  const int build_width = build_child->schema().RowWidth();
-  const int n_cols = build_child->schema().num_fields();
-  state->schema = build_child->schema();
-  state->index.set_memory_tracker(ctx->memory_tracker());
-  state->index.Reset();
-  state->cols.resize(static_cast<size_t>(n_cols));
+Status HashJoinOp::ConsumeBuild() {
+  const Schema& bs = build_child_->schema();
+  const int build_width = bs.RowWidth();
+  const int n_cols = bs.num_fields();
+  index_.set_memory_tracker(ctx_->memory_tracker());
+  index_.Reset();
+  build_cols_.resize(static_cast<size_t>(n_cols));
   for (int c = 0; c < n_cols; ++c) {
-    state->cols[static_cast<size_t>(c)].Reset(
-        build_child->schema().field(c).type);
-    state->cols[static_cast<size_t>(c)].set_memory_tracker(
-        ctx->memory_tracker());
+    build_cols_[static_cast<size_t>(c)].Reset(bs.field(c).type);
+    build_cols_[static_cast<size_t>(c)].set_memory_tracker(
+        ctx_->memory_tracker());
   }
-  state->num_rows = 0;
-  state->bytes = 0;
-  if (ctx->exec_mode() == ExecMode::kBatch) {
+  build_rows_ = 0;
+  build_bytes_ = 0;
+  if (ctx_->exec_mode() == ExecMode::kBatch) {
     RowBatch batch;
     bool has = false;
     std::vector<size_t> hash_scratch;
     for (;;) {
-      ECODB_RETURN_NOT_OK(ctx->CheckGovernor());
-      ECODB_RETURN_NOT_OK(build_child->NextBatch(&batch, &has));
+      ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
+      ECODB_RETURN_NOT_OK(build_child_->NextBatch(&batch, &has));
       if (!has) break;
-      ctx->ChargeHashBuilds(batch.active(), build_width);
-      state->bytes += static_cast<uint64_t>(batch.active()) *
+      ctx_->ChargeHashBuilds(batch.active(), build_width);
+      build_bytes_ += static_cast<uint64_t>(batch.active()) *
                       static_cast<uint64_t>(build_width);
       // Hash all selected keys up front (typed arrays for lazily-bound
       // scan batches and lane columns), then append cells to the typed
@@ -467,14 +435,13 @@ Status ConsumeJoinBuild(ExecContext* ctx, Operator* build_child,
       // lanes) enter the pool by pointer — the pool retains the arenas —
       // instead of being re-interned; only transient boxed values and
       // pool-backed lanes are copied.
-      HashKeyColumnsBatch(batch, build_keys, &hash_scratch);
+      HashKeyColumnsBatch(batch, build_keys_, &hash_scratch);
       for (size_t i = 0; i < hash_scratch.size(); ++i) {
-        state->index.Insert(hash_scratch[i],
-                            state->num_rows + static_cast<uint32_t>(i));
+        index_.Insert(hash_scratch[i], build_rows_ + static_cast<uint32_t>(i));
       }
       const bool stable_strings = !batch.strings_pool_backed();
       for (int c = 0; c < n_cols; ++c) {
-        TypedColumn& dst = state->cols[static_cast<size_t>(c)];
+        TypedColumn& dst = build_cols_[static_cast<size_t>(c)];
         if (stable_strings && !batch.col_materialized(c) &&
             RowBatch::LaneKindFor(dst.type()) ==
                 RowBatch::LaneKind::kStringRef) {
@@ -486,72 +453,45 @@ Status ConsumeJoinBuild(ExecContext* ctx, Operator* build_child,
           for (uint32_t r : batch.sel()) dst.Append(batch.ViewCell(c, r));
         }
       }
-      state->num_rows += static_cast<uint32_t>(batch.active());
+      build_rows_ += static_cast<uint32_t>(batch.active());
     }
     return Status::OK();
   }
   Row row;
   bool has = false;
   for (;;) {
-    ECODB_RETURN_NOT_OK(ctx->CheckGovernor());
-    ECODB_RETURN_NOT_OK(build_child->Next(&row, &has));
+    ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
+    ECODB_RETURN_NOT_OK(build_child_->Next(&row, &has));
     if (!has) break;
-    size_t h = HashRowKey(row, build_keys);
-    ctx->ChargeHashBuild(build_width);
-    state->bytes += static_cast<uint64_t>(build_width);
-    state->index.Insert(h, state->num_rows);
+    size_t h = HashRowKey(row, build_keys_);
+    ctx_->ChargeHashBuild(build_width);
+    build_bytes_ += static_cast<uint64_t>(build_width);
+    index_.Insert(h, build_rows_);
     for (int c = 0; c < n_cols; ++c) {
-      state->cols[static_cast<size_t>(c)].Append(
+      build_cols_[static_cast<size_t>(c)].Append(
           CellView::Of(row[static_cast<size_t>(c)]));
     }
-    ++state->num_rows;
+    ++build_rows_;
   }
   return Status::OK();
 }
 
-}  // namespace
-
-Result<JoinBuildStatePtr> HashJoinOp::ExecuteBuild(
-    ExecContext* ctx, Operator* build_child,
-    const std::vector<int>& build_keys) {
-  auto state = std::make_shared<JoinBuildState>();
-  ECODB_RETURN_NOT_OK(build_child->Open());
-  Status consume = ConsumeJoinBuild(ctx, build_child, build_keys, state.get());
-  build_child->Close();
+Status HashJoinOp::Open() {
+  ECODB_RETURN_NOT_OK(build_child_->Open());
+  Status consume = ConsumeBuild();
+  // The build child is open mid-stream on failure; release its resources
+  // before propagating (our own Close only closes the probe side).
+  build_child_->Close();
   ECODB_RETURN_NOT_OK(consume);
   // Grace-hash spill of the build side (commercial profile).
-  ECODB_RETURN_NOT_OK(ctx->ChargeSpill(state->bytes));
-  return state;
-}
-
-Status HashJoinOp::Open() {
-  if (build_thunk_ != nullptr) {
-    // Deferred (parallel partitioned) build. The thunk drains the build
-    // plan to completion — including the trailing grace-hash spill
-    // charge — at exactly the position the sequential build block below
-    // runs, so the charge stream is position-identical. The state is
-    // owned: Close tears it down like a normal build.
-    ECODB_ASSIGN_OR_RETURN(build_, build_thunk_(ctx_));
-  } else if (!prebuilt_) {
-    build_ = std::make_shared<JoinBuildState>();
-    ECODB_RETURN_NOT_OK(build_child_->Open());
-    Status consume =
-        ConsumeJoinBuild(ctx_, build_child_.get(), build_keys_, build_.get());
-    // The build child is open mid-stream on failure; release its
-    // resources before propagating (our own Close only closes the probe
-    // side).
-    build_child_->Close();
-    ECODB_RETURN_NOT_OK(consume);
-    // Grace-hash spill of the build side (commercial profile).
-    ECODB_RETURN_NOT_OK(ctx_->ChargeSpill(build_->bytes));
-  }
+  ECODB_RETURN_NOT_OK(ctx_->ChargeSpill(build_bytes_));
   probe_rows_ = 0;
   ECODB_RETURN_NOT_OK(probe_child_->Open());
   // Children only know their schemas once opened (scans bind to the
   // catalog in Open), so the concatenated schema is computed here — the
   // seed's constructor-time Concat saw two empty schemas, silently
   // zeroing the join's output-tuple width.
-  schema_ = Schema::Concat(build_->schema, probe_child_->schema());
+  schema_ = Schema::Concat(build_child_->schema(), probe_child_->schema());
   probe_valid_ = false;
   probe_batch_valid_ = false;
   probe_sel_pos_ = 0;
@@ -562,18 +502,18 @@ Status HashJoinOp::Open() {
 
 Status HashJoinOp::Next(Row* out, bool* has_row) {
   int probe_width = probe_child_->schema().RowWidth();
-  const size_t n_build_cols = build_->cols.size();
+  const size_t n_build_cols = build_cols_.size();
   for (;;) {
     if (probe_valid_) {
       while (match_ != FlatHashIndex::kInvalid) {
         const uint32_t idx = match_;
         ++ctx_->eval_counters()->comparisons;  // bucket-chain traversal
-        match_ = build_->index.Next(idx);
+        match_ = index_.Next(idx);
         if (KeysEqualRow(idx, probe_row_)) {
           out->clear();
           out->reserve(n_build_cols + probe_row_.size());
           for (size_t c = 0; c < n_build_cols; ++c) {
-            out->push_back(build_->cols[c].GetValue(idx));
+            out->push_back(build_cols_[c].GetValue(idx));
           }
           // The probe row's values can be moved out on its last chain
           // entry: nothing reads probe_row_ again before the next child
@@ -601,21 +541,21 @@ Status HashJoinOp::Next(Row* out, bool* has_row) {
     }
     ++probe_rows_;
     ctx_->ChargeHashProbe(probe_width);
-    match_ = build_->index.Find(HashRowKey(probe_row_, probe_keys_));
+    match_ = index_.Find(HashRowKey(probe_row_, probe_keys_));
     probe_valid_ = true;
   }
 }
 
 void HashJoinOp::FlushMatches(RowBatch* out) {
   if (match_build_.empty()) return;
-  const int n_build_cols = static_cast<int>(build_->cols.size());
+  const int n_build_cols = static_cast<int>(build_cols_.size());
   const int probe_cols = probe_child_->schema().num_fields();
 
   // Build side: gather raw values from the typed pool into output lanes.
   // String lanes point into the pool's refcounted arena, which `out`
   // retains — the pointers survive even the pool's own teardown.
   for (int c = 0; c < n_build_cols; ++c) {
-    build_->cols[static_cast<size_t>(c)].GatherInto(
+    build_cols_[static_cast<size_t>(c)].GatherInto(
         out, c, match_build_.data(), match_build_.size());
   }
 
@@ -761,7 +701,7 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
              emitted < RowBatch::kDefaultBatchRows) {
         const uint32_t idx = match_;
         ++ctx_->eval_counters()->comparisons;  // bucket-chain traversal
-        match_ = build_->index.Next(idx);
+        match_ = index_.Next(idx);
         if (KeysEqualBatch(idx, probe_batch_, pr)) {
           // Record the match; the columnar copy happens in FlushMatches.
           match_build_.push_back(idx);
@@ -792,7 +732,7 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
       // typed column arrays directly for lazily-bound scan batches.
       HashKeyColumnsBatch(probe_batch_, probe_keys_, &probe_hashes_);
     }
-    match_ = build_->index.Find(probe_hashes_[probe_sel_pos_]);
+    match_ = index_.Find(probe_hashes_[probe_sel_pos_]);
     probe_valid_ = true;
   }
   FlushMatches(out);
@@ -809,12 +749,8 @@ void HashJoinOp::Close() {
   uint64_t probe_bytes =
       probe_rows_ * static_cast<uint64_t>(probe_child_->schema().RowWidth());
   ctx_->ChargeSpill(probe_bytes).ok();  // best-effort at teardown
-  if (build_ != nullptr) {
-    // Shared (prebuilt) state belongs to the coordinator; a worker Close
-    // only drops its reference.
-    if (!prebuilt_) build_->Clear();
-    build_.reset();
-  }
+  index_.Reset();
+  build_cols_.clear();
   ctx_->Flush();
 }
 

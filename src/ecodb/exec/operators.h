@@ -8,14 +8,15 @@
 #ifndef ECODB_EXEC_OPERATORS_H_
 #define ECODB_EXEC_OPERATORS_H_
 
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "ecodb/exec/exec_context.h"
 #include "ecodb/exec/expr.h"
 #include "ecodb/exec/hash_table.h"
+#include "ecodb/exec/morsel.h"
 #include "ecodb/exec/result_set.h"
 #include "ecodb/exec/row_batch.h"
 #include "ecodb/exec/typed_column.h"
@@ -24,13 +25,6 @@
 #include "ecodb/util/status.h"
 
 namespace ecodb {
-
-// Morsel-parallel breaker drivers (exec/morsel.cc). They rebuild the
-// private consume state of HashAggOp / SortOp from worker-shipped
-// fragments with the exact single-threaded charge sequence, so the
-// operators friend them instead of exposing their internals.
-class MorselAggDriver;
-class MorselSortDriver;
 
 class Operator {
  public:
@@ -94,12 +88,10 @@ struct SortKey {
 class SeqScanOp : public Operator {
  public:
   SeqScanOp(ExecContext* ctx, const std::string& table_name);
-  /// Range-restricted scan over rows [begin_row, end_row): the morsel
-  /// unit. Morsel boundaries are multiples of the batch size, so the
-  /// batches (and per-batch charges) a restricted scan emits are exactly
-  /// the full scan's batches for that range.
-  SeqScanOp(ExecContext* ctx, const std::string& table_name,
-            uint64_t begin_row, uint64_t end_row);
+
+  /// Makes this scan the leaf of a spine on the simulated-core schedule
+  /// (exec/morsel.h), marking `phase` when the scan is exhausted.
+  void AttachSchedule(const char* phase) { schedule_.emplace(ctx_, phase); }
 
   Status Open() override;
   Status Next(Row* out, bool* has_row) override;
@@ -115,10 +107,9 @@ class SeqScanOp : public Operator {
   const Table* table_ = nullptr;
   const HeapFile* file_ = nullptr;
   size_t next_row_ = 0;
-  uint64_t begin_row_ = 0;
-  uint64_t end_row_ = ~0ull;  ///< exclusive; clamped to the table at Open
   uint64_t pages_fetched_ = 0;
   int row_width_ = 0;
+  std::optional<MorselSchedule> schedule_;
 };
 
 class FilterOp : public Operator {
@@ -190,58 +181,10 @@ class ProjectOp : public Operator {
 /// instead of copied per match. Row mode hashes the materialized probe
 /// row — identical hashes, identical chain walks, identical
 /// bucket-compare and key-equality counts.
-/// The build side of a hash join, immutable once built: the flat index
-/// over a typed column-major payload pool, plus the build child's schema
-/// and accounting totals. Extracted from HashJoinOp so morsel workers can
-/// probe ONE shared build table concurrently — FlatHashIndex::Find/Next
-/// and TypedColumn::View/GatherInto are const — while the coordinator
-/// built it sequentially with the exact single-threaded charge sequence.
-struct JoinBuildState {
-  FlatHashIndex index;
-  std::vector<TypedColumn> cols;  ///< typed column-major build pool
-  uint32_t num_rows = 0;
-  uint64_t bytes = 0;
-  Schema schema;  ///< the build child's output schema
-
-  /// Tears the pool down (releases tracked bytes); the owner calls this
-  /// once probing is over, matching the single-threaded Close.
-  void Clear() {
-    index.Reset();
-    cols.clear();
-    num_rows = 0;
-  }
-};
-
-using JoinBuildStatePtr = std::shared_ptr<JoinBuildState>;
-
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(ExecContext* ctx, OperatorPtr build, OperatorPtr probe,
              std::vector<int> build_keys, std::vector<int> probe_keys);
-  /// Probe-only join over a prebuilt shared build side (morsel workers).
-  /// Open skips the build phase (no build charges, no build spill) and
-  /// Close leaves the shared state alive — the coordinator owns its
-  /// teardown.
-  HashJoinOp(ExecContext* ctx, JoinBuildStatePtr build, OperatorPtr probe,
-             std::vector<int> build_keys, std::vector<int> probe_keys);
-
-  /// Deferred build: Open invokes `build_thunk` at the exact position the
-  /// normal ctor's build phase runs (so its charges land where a
-  /// single-threaded build's would) and takes ownership of the returned
-  /// state — Close tears it down like an owned build. The morsel layer
-  /// uses this to run a *parallel partitioned* build for joins that sit
-  /// outside any parallel spine (e.g. under a limit).
-  using BuildThunk = std::function<Result<JoinBuildStatePtr>(ExecContext*)>;
-  HashJoinOp(ExecContext* ctx, BuildThunk build_thunk, OperatorPtr probe,
-             std::vector<int> build_keys, std::vector<int> probe_keys);
-
-  /// Runs `build_child` to completion on `ctx` and returns the shared
-  /// build state, with the exact charge sequence of a normal Open's build
-  /// phase: child Open, per-batch build charges + ordered inserts, child
-  /// Close, grace-hash spill charge.
-  static Result<JoinBuildStatePtr> ExecuteBuild(
-      ExecContext* ctx, Operator* build_child,
-      const std::vector<int>& build_keys);
 
   Status Open() override;
   Status Next(Row* out, bool* has_row) override;
@@ -251,6 +194,8 @@ class HashJoinOp : public Operator {
   std::string name() const override { return "HashJoin"; }
 
  private:
+  /// Drains the (already open) build child into the index and pool.
+  Status ConsumeBuild();
   /// Key-equality of build entry `idx` against a materialized probe row /
   /// a probe row living in a batch. Both count one comparison per key
   /// column compared (short-circuit), so the modes stay in lockstep.
@@ -262,13 +207,16 @@ class HashJoinOp : public Operator {
   void FlushMatches(RowBatch* out);
 
   ExecContext* ctx_;
-  OperatorPtr build_child_, probe_child_;  ///< build_child_ null if prebuilt
+  OperatorPtr build_child_, probe_child_;
   std::vector<int> build_keys_, probe_keys_;
   Schema schema_;
 
-  JoinBuildStatePtr build_;  ///< owned (normal) or shared-const (prebuilt)
-  BuildThunk build_thunk_;   ///< deferred owned build; runs at Open
-  bool prebuilt_ = false;
+  // Build side: the flat index over a typed column-major payload pool.
+  FlatHashIndex index_;
+  std::vector<TypedColumn> build_cols_;
+  uint32_t build_rows_ = 0;
+  uint64_t build_bytes_ = 0;
+
   uint32_t match_ = FlatHashIndex::kInvalid;  ///< chain cursor (both modes)
   Row probe_row_;
   bool probe_valid_ = false;
@@ -357,10 +305,6 @@ class HashAggOp : public Operator {
   std::string name() const override { return "HashAgg"; }
 
  private:
-  /// Rebuilds groups_/group_index_ from worker partitions with the
-  /// canonical (as-if-sequential) charge stream; owns no state of its own
-  /// here — see exec/morsel.cc.
-  friend class MorselAggDriver;
   struct Accumulator {
     double sum = 0.0;
     uint64_t count = 0;
@@ -459,25 +403,16 @@ class SortOp : public Operator {
                          size_t max_rows) override;
   bool MaterializedEmission() const override { return true; }
   void Close() override;
-  /// A driver-filled sort (morsel-parallel path) has no child; its
-  /// schema is stashed in schema_ by the driver.
-  const Schema& schema() const override {
-    return child_ != nullptr ? child_->schema() : schema_;
-  }
+  const Schema& schema() const override { return child_->schema(); }
   std::string name() const override { return "Sort"; }
 
  private:
-  /// Fills cols_/order_/n_rows_ from worker-sorted runs with the
-  /// canonical (as-if-sequential) charge stream — see exec/morsel.cc.
-  friend class MorselSortDriver;
-
   Status ConsumeChildRowMode();
   Status ConsumeChildBatchMode();
 
   ExecContext* ctx_;
-  OperatorPtr child_;  ///< null when a MorselSortDriver fills the state
+  OperatorPtr child_;
   std::vector<SortKey> keys_;
-  Schema schema_;  ///< only used when child_ == nullptr
   ExprScratch scratch_;
 
   // Row-mode storage: materialized rows, rearranged into sorted order.

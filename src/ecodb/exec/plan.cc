@@ -326,54 +326,90 @@ Status ValidatePlan(const PlanNode& node) {
   return Status::OK();
 }
 
-Result<OperatorPtr> InstantiatePlan(const PlanNode& node, ExecContext* ctx) {
+namespace {
+
+/// InstantiatePlan's recursion. `full_drain` is false under a limit,
+/// which may stop pulling early. `phase` is the morsel-schedule phase of
+/// the spine `node` belongs to (null: none); with exec_workers() == 1 it
+/// stays null everywhere.
+Result<OperatorPtr> Instantiate(const PlanNode& node, ExecContext* ctx,
+                                bool full_drain, const char* phase) {
+  const bool scheduled = ctx->exec_workers() > 1;
+  // A spine in a full-drain slot no breaker claimed streams.
+  if (scheduled && phase == nullptr && full_drain &&
+      MorselEligibleSpine(node)) {
+    phase = "stream";
+  }
+  // The phase a breaker gives the spine it consumes.
+  const auto breaker_phase = [scheduled](const PlanNode& child,
+                                         const char* label) -> const char* {
+    return scheduled && MorselEligibleSpine(child) ? label : nullptr;
+  };
   switch (node.kind) {
-    case PlanKind::kScan:
-      return OperatorPtr(std::make_unique<SeqScanOp>(ctx, node.table_name));
+    case PlanKind::kScan: {
+      auto scan = std::make_unique<SeqScanOp>(ctx, node.table_name);
+      if (phase != nullptr) scan->AttachSchedule(phase);
+      return OperatorPtr(std::move(scan));
+    }
     case PlanKind::kFilter: {
-      ECODB_ASSIGN_OR_RETURN(OperatorPtr child,
-                             InstantiatePlan(*node.children[0], ctx));
+      ECODB_ASSIGN_OR_RETURN(
+          OperatorPtr child,
+          Instantiate(*node.children[0], ctx, full_drain, phase));
       return OperatorPtr(
           std::make_unique<FilterOp>(ctx, std::move(child), node.predicate));
     }
     case PlanKind::kProject: {
-      ECODB_ASSIGN_OR_RETURN(OperatorPtr child,
-                             InstantiatePlan(*node.children[0], ctx));
+      ECODB_ASSIGN_OR_RETURN(
+          OperatorPtr child,
+          Instantiate(*node.children[0], ctx, full_drain, phase));
       return OperatorPtr(std::make_unique<ProjectOp>(
           ctx, std::move(child), node.exprs, node.names));
     }
     case PlanKind::kHashJoin: {
-      ECODB_ASSIGN_OR_RETURN(OperatorPtr build,
-                             InstantiatePlan(*node.children[0], ctx));
-      ECODB_ASSIGN_OR_RETURN(OperatorPtr probe,
-                             InstantiatePlan(*node.children[1], ctx));
+      // The build side is drained at Open however far the join is driven.
+      const PlanNode& build_plan = *node.children[0];
+      ECODB_ASSIGN_OR_RETURN(
+          OperatorPtr build,
+          Instantiate(build_plan, ctx, /*full_drain=*/true,
+                      breaker_phase(build_plan, "join_build")));
+      ECODB_ASSIGN_OR_RETURN(
+          OperatorPtr probe,
+          Instantiate(*node.children[1], ctx, full_drain, phase));
       return OperatorPtr(std::make_unique<HashJoinOp>(
           ctx, std::move(build), std::move(probe), node.build_keys,
           node.probe_keys));
     }
     case PlanKind::kNestedLoopJoin: {
-      ECODB_ASSIGN_OR_RETURN(OperatorPtr outer,
-                             InstantiatePlan(*node.children[0], ctx));
-      ECODB_ASSIGN_OR_RETURN(OperatorPtr inner,
-                             InstantiatePlan(*node.children[1], ctx));
+      ECODB_ASSIGN_OR_RETURN(
+          OperatorPtr outer,
+          Instantiate(*node.children[0], ctx, full_drain, nullptr));
+      // The inner side is materialized at Open.
+      ECODB_ASSIGN_OR_RETURN(
+          OperatorPtr inner,
+          Instantiate(*node.children[1], ctx, /*full_drain=*/true, nullptr));
       return OperatorPtr(std::make_unique<NestedLoopJoinOp>(
           ctx, std::move(outer), std::move(inner), node.predicate));
     }
     case PlanKind::kAggregate: {
-      ECODB_ASSIGN_OR_RETURN(OperatorPtr child,
-                             InstantiatePlan(*node.children[0], ctx));
+      const PlanNode& input = *node.children[0];
+      ECODB_ASSIGN_OR_RETURN(
+          OperatorPtr child, Instantiate(input, ctx, /*full_drain=*/true,
+                                         breaker_phase(input, "agg")));
       return OperatorPtr(std::make_unique<HashAggOp>(
           ctx, std::move(child), node.group_by, node.aggs));
     }
     case PlanKind::kSort: {
-      ECODB_ASSIGN_OR_RETURN(OperatorPtr child,
-                             InstantiatePlan(*node.children[0], ctx));
+      const PlanNode& input = *node.children[0];
+      ECODB_ASSIGN_OR_RETURN(
+          OperatorPtr child, Instantiate(input, ctx, /*full_drain=*/true,
+                                         breaker_phase(input, "sort")));
       return OperatorPtr(
           std::make_unique<SortOp>(ctx, std::move(child), node.sort_keys));
     }
     case PlanKind::kLimit: {
-      ECODB_ASSIGN_OR_RETURN(OperatorPtr child,
-                             InstantiatePlan(*node.children[0], ctx));
+      ECODB_ASSIGN_OR_RETURN(
+          OperatorPtr child,
+          Instantiate(*node.children[0], ctx, /*full_drain=*/false, nullptr));
       return OperatorPtr(
           std::make_unique<LimitOp>(ctx, std::move(child), node.limit));
     }
@@ -381,17 +417,16 @@ Result<OperatorPtr> InstantiatePlan(const PlanNode& node, ExecContext* ctx) {
   return Status::Internal("unknown plan kind");
 }
 
+}  // namespace
+
+Result<OperatorPtr> InstantiatePlan(const PlanNode& node, ExecContext* ctx) {
+  return Instantiate(node, ctx, /*full_drain=*/true, nullptr);
+}
+
 Result<ResultSet> ExecutePlanColumnar(const PlanNode& node, ExecContext* ctx,
                                       ExecMode mode) {
   ECODB_RETURN_NOT_OK(ValidatePlan(node));
-  OperatorPtr op;
-  if (mode == ExecMode::kBatch && ctx->exec_workers() > 1) {
-    // Morsel-driven parallel spines (batch mode only; results and
-    // logical-work counters stay bit-exact vs. the sequential tree).
-    ECODB_ASSIGN_OR_RETURN(op, InstantiateParallelPlan(node, ctx));
-  } else {
-    ECODB_ASSIGN_OR_RETURN(op, InstantiatePlan(node, ctx));
-  }
+  ECODB_ASSIGN_OR_RETURN(OperatorPtr op, InstantiatePlan(node, ctx));
   return ExecuteOperatorColumnar(op.get(), ctx, mode);
 }
 

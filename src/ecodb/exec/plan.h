@@ -98,7 +98,9 @@ PlanNodePtr ClonePlan(const PlanNode& node);
 /// error instead of an assert deep inside an operator.
 Status ValidatePlan(const PlanNode& node);
 
-/// Builds the operator tree for a plan.
+/// Builds the operator tree for a plan. With ctx->exec_workers() > 1 the
+/// scan leaf of every spine also carries its simulated-core schedule
+/// (exec/morsel.h); the tree and its charges are the same either way.
 Result<OperatorPtr> InstantiatePlan(const PlanNode& node, ExecContext* ctx);
 
 /// Convenience: instantiate + execute + drain into a columnar ResultSet.

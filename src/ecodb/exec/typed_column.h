@@ -125,16 +125,6 @@ class TypedColumn {
     for (const StringArenaPtr& a : batch.retained_arenas()) RetainArena(a);
   }
 
-  /// Retains every arena keeping `col`'s string pointers valid (its own
-  /// interned payload plus everything it borrowed), so AppendStable may
-  /// carry `col`'s cells into this column by pointer. Used when the
-  /// morsel coordinator absorbs a worker-built fragment column into the
-  /// operator's global column without re-copying string bytes.
-  void RetainStorageOfColumn(const TypedColumn& col) {
-    RetainArena(col.strings());
-    for (const StringArenaPtr& a : col.retained_arenas()) RetainArena(a);
-  }
-
   /// Deduplicate copied strings through the arena's low-cardinality
   /// dictionary (ResultSet columns; pointless for pools whose strings are
   /// distinct by construction).

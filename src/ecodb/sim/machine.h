@@ -76,10 +76,10 @@ struct EnergyLedger {
 };
 
 /// Per-core work/energy accrual since the last ResetCoreLedgers(). This is
-/// the *concurrency view* of a parallel phase: each worker's charge stream
-/// lands on its core without advancing the shared clock or the shared
-/// EnergyLedger (those stay the sequential-equivalent parity account, fed
-/// by the coordinator's deterministic replay of the same charges).
+/// the *concurrency view* of a scheduled phase (exec/morsel.h): each
+/// morsel's charges land on its core without advancing the shared clock
+/// or the shared EnergyLedger, which the same charges already reached
+/// through the query's ordinary ExecuteCpu stream.
 struct CoreLedger {
   double busy_s = 0.0;      ///< time this core spent executing
   double cpu_j = 0.0;       ///< core package energy while busy
@@ -109,7 +109,7 @@ struct ParallelPhaseSummary {
 };
 
 /// A named slice of the per-core ledgers: the deltas accrued between two
-/// MarkCorePhase calls. Morsel pools mark a phase per parallel stage
+/// MarkCorePhase calls. The morsel schedule marks a phase per spine
 /// ("stream", "join_build", "agg", "sort"), so benches can report where
 /// the core speedup comes from — the streaming spine vs. the breaker
 /// build phases.
@@ -157,12 +157,11 @@ class Machine {
   }
   void ExecuteCpu(double cycles, double mem_lines, LoadClass cls);
 
-  /// Accrues one worker's charge stream onto `core`'s ledger: the burst's
+  /// Accrues one burst of scheduled work onto `core`'s ledger: its
   /// duration/power are evaluated against that core's own CpuModel (its
   /// private P-state), but neither the shared clock nor the shared
-  /// EnergyLedger move — parallel workers overlap in time, and the
-  /// deterministic fold of their charges into the parity account happens
-  /// through the coordinator's replay into ExecuteCpu.
+  /// EnergyLedger move — simulated workers overlap in time, and the same
+  /// charges reach the shared account through ExecuteCpu.
   void AccrueCoreWork(int core, double cycles, double mem_lines,
                       LoadClass cls);
   const std::vector<CoreLedger>& core_ledgers() const { return core_ledgers_; }

@@ -310,6 +310,10 @@ Result<AstExprPtr> Parser::ParsePrimary() {
 Result<SelectStatement> Parser::Parse() {
   SelectStatement stmt;
   ECODB_RETURN_NOT_OK(ExpectKeyword("SELECT"));
+  if (Cur().IsKeyword("DISTINCT")) {
+    return Status::ParseError(
+        StrFormat("SELECT DISTINCT is not supported (offset %zu)", Cur().pos));
+  }
 
   if (AcceptSymbol("*")) {
     stmt.select_star = true;

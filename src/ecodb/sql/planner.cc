@@ -409,11 +409,19 @@ Result<PlanNodePtr> Planner::ApplyOrderLimit(PlanNodePtr plan) {
     for (const OrderItem& item : stmt_.order_by) {
       SortKey key;
       key.ascending = item.ascending;
-      // Resolve: output column/alias name, select-item text, or scalar
-      // expression over the output schema.
+      // Resolve: 1-based select-list position, output column/alias name,
+      // select-item text, or scalar expression over the output schema.
       std::string text = item.expr->ToString();
       int idx = -1;
-      if (item.expr->kind == AstKind::kColumn) {
+      if (item.expr->kind == AstKind::kIntLit) {
+        const int64_t pos = item.expr->int_value;
+        if (pos < 1 || pos > schema.num_fields()) {
+          return Status::ParseError(StrFormat(
+              "ORDER BY position %lld is not in the select list (1..%d)",
+              static_cast<long long>(pos), schema.num_fields()));
+        }
+        idx = static_cast<int>(pos - 1);
+      } else if (item.expr->kind == AstKind::kColumn) {
         idx = schema.FindField(item.expr->name);
       }
       if (idx < 0) {

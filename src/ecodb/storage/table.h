@@ -15,8 +15,7 @@
 // back to plain per-row string storage (comments and other free-text
 // payloads); `dict_encoded()` tells readers which representation is live.
 // The dictionary is built eagerly during append — table storage is
-// immutable while queries run (morsel workers read it concurrently), so
-// there is no lazy finalization step.
+// immutable while queries run — so there is no lazy finalization step.
 
 #ifndef ECODB_STORAGE_TABLE_H_
 #define ECODB_STORAGE_TABLE_H_

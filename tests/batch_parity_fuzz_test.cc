@@ -5,8 +5,9 @@
 // chains, column-vs-column and column-vs-sampled-literal), projections
 // with arithmetic (including NULL-producing division), FK hash-join
 // chains, nested-loop joins, group-by aggregation, sort and limit — and
-// executes every plan in BOTH ExecModes AND on the morsel-parallel batch
-// engine (ECODB_FUZZ_WORKERS workers, default 3) — limit-over-aggregate and
+// executes every plan in BOTH ExecModes AND in batch mode on the
+// simulated-core schedule (ECODB_FUZZ_WORKERS workers, default 3) —
+// limit-over-aggregate and
 // limit-over-sort take the truncating batched LimitOp, limit-over-join /
 // scan the row-pull fallback, with limits below, at and far above the
 // child cardinality, including 0 — asserting:
@@ -14,7 +15,9 @@
 //   * identical result rows, in order;
 //   * bit-exact integer logical-work counters (the parity contract every
 //     kernel rewrite must preserve);
-//   * simulated time and energy within 0.1%.
+//   * simulated time and energy within 0.1% of row mode;
+//   * the scheduled run bit-identical to the single-worker batch run in
+//     every stats field, joule and simulated second.
 //
 // Each plan is derived from its own seed; on failure the seed is in every
 // assertion message (SCOPED_TRACE), so a run reproduces with
@@ -60,9 +63,9 @@ class BatchParityFuzzTest : public ::testing::Test {
     batch_opt.profile = EngineProfile::MySqlMemory();
     batch_opt.exec_mode = ExecMode::kBatch;
     batch_db_ = new Database(batch_opt);
-    // Third axis: the morsel-parallel batch engine. ECODB_FUZZ_WORKERS
-    // overrides the worker count (default 3 — an odd count exercises
-    // uneven static schedules).
+    // Third axis: batch mode on the simulated-core schedule.
+    // ECODB_FUZZ_WORKERS overrides the worker count (default 3 — an odd
+    // count exercises uneven static schedules).
     int workers = 3;
     if (const char* s = std::getenv("ECODB_FUZZ_WORKERS")) {
       workers = std::atoi(s);
@@ -105,8 +108,8 @@ class BatchParityFuzzTest : public ::testing::Test {
     ASSERT_TRUE(par_res.ok()) << par_res.status().ToString();
 
     const QueryResult& r = row_res.value();
-    // Both the batch engine and the morsel-parallel batch engine are held
-    // to the same contract against the row-mode oracle.
+    // The batch engine, with and without the core schedule, is held to
+    // the same contract against the row-mode oracle.
     struct Contender {
       const char* label;
       const QueryResult* res;
@@ -142,6 +145,30 @@ class BatchParityFuzzTest : public ::testing::Test {
       ExpectNearRel(r.wall_joules, b.wall_joules, kEnergyRelTol,
                     "wall_joules");
     }
+    // The schedule only adds the per-core view: everything the query
+    // reports is bit-identical to the unscheduled batch run.
+    const QueryResult& b = batch_res.value();
+    const QueryResult& p = par_res.value();
+    const QueryExecStats& bs = b.exec_stats;
+    const QueryExecStats& ps = p.exec_stats;
+    EXPECT_EQ(bs.tuples_scanned, ps.tuples_scanned);
+    EXPECT_EQ(bs.tuples_output, ps.tuples_output);
+    EXPECT_EQ(bs.comparisons, ps.comparisons);
+    EXPECT_EQ(bs.arith_ops, ps.arith_ops);
+    EXPECT_EQ(bs.hash_builds, ps.hash_builds);
+    EXPECT_EQ(bs.hash_probes, ps.hash_probes);
+    EXPECT_EQ(bs.agg_updates, ps.agg_updates);
+    EXPECT_EQ(bs.sort_compares, ps.sort_compares);
+    EXPECT_EQ(bs.cycles_charged, ps.cycles_charged);
+    EXPECT_EQ(bs.mem_lines_charged, ps.mem_lines_charged);
+    EXPECT_EQ(bs.spill_bytes, ps.spill_bytes);
+    EXPECT_EQ(bs.peak_memory_bytes, ps.peak_memory_bytes);
+    EXPECT_EQ(bs.dict_dedup_hits, ps.dict_dedup_hits);
+    EXPECT_EQ(bs.dict_dedup_misses, ps.dict_dedup_misses);
+    EXPECT_EQ(b.seconds, p.seconds);
+    EXPECT_EQ(b.cpu_joules, p.cpu_joules);
+    EXPECT_EQ(b.disk_joules, p.disk_joules);
+    EXPECT_EQ(b.wall_joules, p.wall_joules);
   }
 
   static Database* row_db_;
@@ -169,10 +196,10 @@ TEST_F(BatchParityFuzzTest, HundredsOfRandomPlansMatch) {
 }
 
 // Every plan ends in a pipeline breaker (aggregation root, sort root, or
-// both, half the time over multi-join bases), pinning the parallel
-// breakers' canonical charge accounting — partitioned hash build,
-// partial-agg merge, sorted-run merge — against the row oracle at
-// whatever ECODB_FUZZ_WORKERS is set to (check.sh sweeps 2, 3 and 8).
+// both, half the time over multi-join bases), so most spines drain into
+// join_build / agg / sort slots of the core schedule, at whatever
+// ECODB_FUZZ_WORKERS is set to (check.sh sweeps 1, 2 and 8; the default
+// run covers 3).
 TEST_F(BatchParityFuzzTest, BreakerRootPlansMatch) {
   uint64_t base_seed = 0xB4EA4E4;
   size_t n_plans = 96;

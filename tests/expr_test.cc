@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
+#include <string>
+
 #include "ecodb/exec/expr.h"
 
 namespace ecodb {
@@ -194,6 +198,60 @@ TEST(ExprTest, EvalBatchMatchesScalarCountsAndValues) {
     for (uint32_t r : batch.sel()) {
       EXPECT_EQ(scalar_vals[r].ToString(), batch_vals[r].ToString())
           << "row " << r;
+    }
+  }
+}
+
+// int64 results that do not fit (overflow, INT64_MIN / -1) are NULL, like
+// division by zero, in both the row (Eval) and batch (EvalBatch) paths;
+// in-range results are unchanged. The UBSan build runs these too.
+TEST(ExprTest, Int64OverflowYieldsNullInBothExecModes) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  struct Case {
+    ArithOp op;
+    int64_t a, b;
+    bool is_null;
+    int64_t expect;
+  };
+  const Case cases[] = {
+      {ArithOp::kAdd, kMax, 1, true, 0},
+      {ArithOp::kAdd, kMin, -1, true, 0},
+      {ArithOp::kAdd, kMax, -1, false, kMax - 1},
+      {ArithOp::kSub, kMin, 1, true, 0},
+      {ArithOp::kSub, 0, kMin, true, 0},
+      {ArithOp::kSub, -1, kMin, false, kMax},
+      {ArithOp::kMul, kMax, 2, true, 0},
+      {ArithOp::kMul, kMin, -1, true, 0},
+      {ArithOp::kMul, int64_t{1} << 32, int64_t{1} << 31, true, 0},
+      {ArithOp::kMul, -(int64_t{1} << 31), int64_t{1} << 32, false, kMin},
+      {ArithOp::kDiv, kMin, -1, true, 0},
+      {ArithOp::kDiv, kMin, 1, false, kMin},
+      {ArithOp::kDiv, 7, 0, true, 0},
+      {ArithOp::kDiv, -7, 2, false, -3},
+  };
+  RowBatch batch;
+  batch.Reset(2);
+  for (const Case& c : cases) {
+    batch.AppendRow({Value::Int(c.a), Value::Int(c.b)});
+  }
+  std::vector<uint32_t> all(batch.num_rows());
+  for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+  for (uint32_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    SCOPED_TRACE(std::to_string(c.a) + " " + ToString(c.op) + " " +
+                 std::to_string(c.b));
+    ExprPtr e = Arith(c.op, Col(0, ValueType::kInt64, "a"),
+                      Col(1, ValueType::kInt64, "b"));
+    ASSERT_EQ(e->type(), ValueType::kInt64);
+    Value row_v = e->Eval({Value::Int(c.a), Value::Int(c.b)}, nullptr);
+    std::vector<Value> batch_vals;
+    e->EvalBatch(batch, all, &batch_vals, nullptr);
+    for (const Value& v : {row_v, batch_vals[i]}) {
+      EXPECT_EQ(v.is_null(), c.is_null) << v.ToString();
+      if (!c.is_null && !v.is_null()) {
+        EXPECT_EQ(v.AsInt(), c.expect);
+      }
     }
   }
 }

@@ -1,16 +1,13 @@
-// Morsel-driven parallel execution parity suite.
+// Simulated-core schedule suite (exec/morsel.h).
 //
-// The parallel engine's contract: at ANY worker count, results and
-// integer logical-work counters are bit-exact against single-threaded
-// execution, charged cycles agree to fp re-association (1e-9 relative),
-// and simulated energy stays within the 0.1% row-vs-batch acceptance
-// bound. Same seed + same worker count must be bit-identical run to run
-// (static morsel schedule, ordered replay). Per-core ledgers are the
-// additive concurrency view and never perturb the shared parity ledger.
+// exec_workers > 1 runs the same single-threaded operator tree as
+// exec_workers == 1, so at ANY worker count the rows, every
+// QueryExecStats field, and the simulated joules and seconds are
+// bit-identical. The worker count only shapes the per-core ledgers: the
+// additive concurrency view, which never perturbs the shared ledger.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,14 +18,6 @@
 
 namespace ecodb {
 namespace {
-
-constexpr double kChargeRelTol = 1e-9;
-constexpr double kEnergyRelTol = 1e-3;
-
-void ExpectNearRel(double a, double b, double tol, const char* what) {
-  double scale = std::max({std::fabs(a), std::fabs(b), 1e-12});
-  EXPECT_LE(std::fabs(a - b) / scale, tol) << what << ": " << a << " vs " << b;
-}
 
 void ExpectCountersEqual(const QueryExecStats& seq,
                          const QueryExecStats& par) {
@@ -42,10 +31,10 @@ void ExpectCountersEqual(const QueryExecStats& seq,
   EXPECT_EQ(seq.sort_compares, par.sort_compares);
   EXPECT_EQ(seq.spill_bytes, par.spill_bytes);
   EXPECT_EQ(seq.peak_memory_bytes, par.peak_memory_bytes);
-  ExpectNearRel(seq.cycles_charged, par.cycles_charged, kChargeRelTol,
-                "cycles_charged");
-  ExpectNearRel(seq.mem_lines_charged, par.mem_lines_charged, kChargeRelTol,
-                "mem_lines_charged");
+  EXPECT_EQ(seq.dict_dedup_hits, par.dict_dedup_hits);
+  EXPECT_EQ(seq.dict_dedup_misses, par.dict_dedup_misses);
+  EXPECT_EQ(seq.cycles_charged, par.cycles_charged);
+  EXPECT_EQ(seq.mem_lines_charged, par.mem_lines_charged);
 }
 
 void ExpectRowsEqual(const std::vector<Row>& a, const std::vector<Row>& b) {
@@ -64,15 +53,19 @@ struct RunResult {
   double wall_j = 0;
   double seconds = 0;
   std::vector<CoreLedger> cores;
+  std::vector<CorePhase> phases;
 };
 
 class ParallelExecTest : public ::testing::Test {
  protected:
   ParallelExecTest() {
     // Several morsels' worth of rows (kMorselRows == 8192) so the
-    // schedule actually fans out, plus a build-side-sized table.
+    // schedule actually fans out, plus a build-side-sized table, plus
+    // exactly six equal morsels.
     testing::MakeSimpleTable(&catalog_, "big", 40000, 7);
     testing::MakeSimpleTable(&catalog_, "small", 37, 5);
+    testing::MakeSimpleTable(&catalog_, "six_morsels",
+                             static_cast<int>(6 * kMorselRows), 5);
   }
 
   PlanNodePtr Scan(const std::string& name) {
@@ -90,7 +83,7 @@ class ParallelExecTest : public ::testing::Test {
     return a;
   }
 
-  /// Runs `plan` on a fresh machine with `workers` morsel workers and
+  /// Runs `plan` on a fresh machine with `workers` simulated workers and
   /// returns everything the simulation reports about it.
   RunResult Run(const PlanNode& plan, int workers) {
     Machine machine(MachineConfig::PaperTestbed());
@@ -109,11 +102,12 @@ class ParallelExecTest : public ::testing::Test {
     r.wall_j = machine.ledger().wall_j;
     r.seconds = machine.NowSeconds() - t0;
     r.cores = machine.core_ledgers();
+    r.phases = machine.core_phases();
     return r;
   }
 
-  /// Parity across worker counts: rows identical, counters bit-exact,
-  /// cycles to fp-association, energy within the 0.1% bound.
+  /// Parity across worker counts: rows, every stats field, joules and
+  /// simulated seconds bit-identical to the single-worker run.
   void ExpectParallelParity(const PlanNode& plan) {
     RunResult seq = Run(plan, 1);
     for (int workers : {2, 3, 8}) {
@@ -121,9 +115,9 @@ class ParallelExecTest : public ::testing::Test {
       RunResult par = Run(plan, workers);
       ExpectRowsEqual(seq.rows, par.rows);
       ExpectCountersEqual(seq.stats, par.stats);
-      ExpectNearRel(seq.cpu_j, par.cpu_j, kEnergyRelTol, "cpu_j");
-      ExpectNearRel(seq.wall_j, par.wall_j, kEnergyRelTol, "wall_j");
-      ExpectNearRel(seq.seconds, par.seconds, kEnergyRelTol, "seconds");
+      EXPECT_EQ(seq.cpu_j, par.cpu_j);
+      EXPECT_EQ(seq.wall_j, par.wall_j);
+      EXPECT_EQ(seq.seconds, par.seconds);
     }
   }
 
@@ -158,30 +152,28 @@ TEST_F(ParallelExecTest, AggregateOverSpine) {
 }
 
 TEST_F(ParallelExecTest, HashJoinProbeSpine) {
-  // small (build) x big (probe): the probe side is the morsel spine, the
-  // build is executed once by the coordinator and shared.
+  // small (build) x big (probe): the probe side is the streaming spine,
+  // the one-morsel build side a join_build spine.
   ExpectParallelParity(*MakeHashJoin(Scan("small"), Scan("big"), {0}, {0}));
 }
 
 TEST_F(ParallelExecTest, HashJoinMultiMatchProbeSpine) {
-  // Duplicate string keys: many matches per probe row, so worker-side
-  // output batches fill mid-chain and morsel-end partial batches differ
-  // from the single-threaded grouping — counters must not care.
+  // Duplicate string keys: many matches per probe row, so output batches
+  // fill mid-chain and straddle morsel boundaries.
   ExpectParallelParity(*MakeHashJoin(Scan("small"), Scan("big"), {2}, {2}));
 }
 
 TEST_F(ParallelExecTest, NestedJoinSpineTwoBuilds) {
-  // join(small2, join(small, big)): one spine, two coordinator builds,
-  // probed concurrently by every worker.
+  // join(small2, join(small, big)): one streaming spine through two
+  // probes, each build side a join_build spine of its own.
   PlanNodePtr inner = MakeHashJoin(Scan("small"), Scan("big"), {0}, {0});
   ExpectParallelParity(
       *MakeHashJoin(Scan("small"), std::move(inner), {0}, {0}));
 }
 
 TEST_F(ParallelExecTest, ParallelBuildSide) {
-  // big (build) x small (probe): the *build* subtree is the heavy spine;
-  // it parallelizes as a nested morsel stream feeding the coordinator's
-  // sequential insert loop.
+  // big (build) x small (probe): the *build* subtree is the heavy spine
+  // and accrues as join_build work.
   ExpectParallelParity(*MakeHashJoin(
       MakeFilter(Scan("big"), Cmp(CompareOp::kLt, K(), LitInt(2500))),
       Scan("small"), {0}, {0}));
@@ -194,15 +186,14 @@ TEST_F(ParallelExecTest, SortOverJoinSpine) {
 }
 
 TEST_F(ParallelExecTest, LimitOverStreamingSpineStaysSequential) {
-  // A streaming child of Limit may stop early — never wrapped. Parity
-  // must hold trivially (both sides run the sequential tree).
+  // A streaming child of Limit may stop early and gets no schedule.
   ExpectParallelParity(*MakeLimit(
       MakeFilter(Scan("big"), Cmp(CompareOp::kGe, K(), LitInt(5))), 100));
 }
 
 TEST_F(ParallelExecTest, LimitOverAggregateWrapsBelow) {
   // Materialized child of Limit: the aggregate's input is a full-drain
-  // slot and parallelizes even though the limit truncates the output.
+  // slot and is scheduled even though the limit truncates the output.
   ExpectParallelParity(*MakeLimit(
       MakeAggregate(Scan("big"), {S()},
                     {Agg(AggSpec::Kind::kCount, nullptr, "n")}),
@@ -211,7 +202,7 @@ TEST_F(ParallelExecTest, LimitOverAggregateWrapsBelow) {
 
 TEST_F(ParallelExecTest, NestedLoopInnerSpine) {
   // The NLJ inner side is materialized at Open (full-drain slot); its
-  // filter-over-big spine parallelizes under the sequential NLJ.
+  // filter-over-big spine is scheduled as a stream.
   ExpectParallelParity(*MakeNestedLoopJoin(
       Scan("small"),
       MakeFilter(Scan("big"), Cmp(CompareOp::kLt, K(), LitInt(40))),
@@ -220,8 +211,9 @@ TEST_F(ParallelExecTest, NestedLoopInnerSpine) {
 }
 
 TEST_F(ParallelExecTest, SameWorkerCountBitIdentical) {
-  // Static morsel schedule + ordered replay: two runs at the same worker
-  // count are bit-identical in every double the simulation reports.
+  // Static morsel schedule: two runs at the same worker count are
+  // bit-identical in every double the simulation reports, per-core
+  // ledgers included.
   PlanNodePtr plan = MakeAggregate(
       MakeHashJoin(Scan("small"), Scan("big"), {0}, {0}), {Col(2, ValueType::kString, "s")},
       {Agg(AggSpec::Kind::kSum, Col(4, ValueType::kDouble, "v"), "sum_v")});
@@ -233,6 +225,11 @@ TEST_F(ParallelExecTest, SameWorkerCountBitIdentical) {
   EXPECT_EQ(a.cpu_j, b.cpu_j);
   EXPECT_EQ(a.wall_j, b.wall_j);
   EXPECT_EQ(a.seconds, b.seconds);
+  ASSERT_EQ(a.cores.size(), b.cores.size());
+  for (size_t i = 0; i < a.cores.size(); ++i) {
+    EXPECT_EQ(a.cores[i].cycles, b.cores[i].cycles);
+    EXPECT_EQ(a.cores[i].busy_s, b.cores[i].busy_s);
+  }
 }
 
 TEST_F(ParallelExecTest, CoreLedgersSeeWorkerWork) {
@@ -240,15 +237,13 @@ TEST_F(ParallelExecTest, CoreLedgersSeeWorkerWork) {
       MakeFilter(Scan("big"), Cmp(CompareOp::kLt, K(), LitInt(11000)));
   RunResult par = Run(*plan, 2);
   // PaperTestbed models 2 cores; the static schedule gives both workers
-  // morsels, so both core ledgers accrue cycles. The shared parity
-  // ledger got the same work via replay (checked by the parity tests).
+  // morsels, so both core ledgers accrue cycles.
   ASSERT_EQ(par.cores.size(), 2u);
   EXPECT_GT(par.cores[0].cycles, 0.0);
   EXPECT_GT(par.cores[1].cycles, 0.0);
   EXPECT_GT(par.cores[0].busy_s, 0.0);
-  // Workers recorded; the coordinator replayed: the concurrency view and
-  // the parity account agree on total spine cycles (the filter spine is
-  // the whole plan here, minus the coordinator-side output charges).
+  // The per-core view is a slice of the query's own charge stream (the
+  // work before the first and after the last morsel stays off it).
   EXPECT_LE(par.cores[0].cycles + par.cores[1].cycles,
             par.stats.cycles_charged * (1.0 + 1e-9));
   // Sequential runs never touch the core ledgers.
@@ -257,30 +252,44 @@ TEST_F(ParallelExecTest, CoreLedgersSeeWorkerWork) {
   EXPECT_EQ(seq.cores[1].cycles, 0.0);
 }
 
-// --- Parallel pipeline breakers ---
+TEST_F(ParallelExecTest, ScheduleMapsMorselsToWorkersAndCores) {
+  // Six equal morsels at W=3 on the 2-core model: morsel m runs on
+  // worker m % 3, on core (m % 3) % 2, so workers 0 and 2 share core 0
+  // and core 0 accrues twice core 1's cycles.
+  RunResult r = Run(*Scan("six_morsels"), 3);
+  ASSERT_EQ(r.cores.size(), 2u);
+  ASSERT_GT(r.cores[1].cycles, 0.0);
+  EXPECT_NEAR(r.cores[0].cycles / r.cores[1].cycles, 2.0, 1e-9);
+  EXPECT_NEAR(r.cores[0].mem_lines / r.cores[1].mem_lines, 2.0, 1e-9);
+  for (const CoreLedger& c : r.cores) {
+    EXPECT_LE(c.cycles, r.stats.cycles_charged);
+  }
+  // One spine at the root: one "stream" phase holding all of it.
+  ASSERT_EQ(r.phases.size(), 1u);
+  EXPECT_EQ(r.phases[0].label, "stream");
+  EXPECT_EQ(r.phases[0].ledgers[0].cycles, r.cores[0].cycles);
+  // At W=2 the same morsels split evenly.
+  RunResult even = Run(*Scan("six_morsels"), 2);
+  EXPECT_NEAR(even.cores[0].cycles / even.cores[1].cycles, 1.0, 1e-9);
+}
+
+// --- Pipeline breakers over spines ---
 
 TEST_F(ParallelExecTest, ParallelBuildDuplicateChainOrder) {
-  // big as the BUILD side on a duplicate string key: the partitioned
-  // parallel build must stitch per-batch fragments so every duplicate
-  // chain comes out insertion-order-equivalent to the sequential build —
-  // probe matches emit in build-row order, and the probe-side chain
-  // walks charge identical compare counts.
+  // big as the BUILD side on a duplicate string key: probe matches emit
+  // in build-row order and the chain walks charge identical counts.
   ExpectParallelParity(*MakeHashJoin(Scan("big"), Scan("small"), {2}, {2}));
 }
 
 TEST_F(ParallelExecTest, ParallelBuildUnderFilterSpine) {
-  // Filtered build spine: per-batch fragments arrive with gaps (selection
-  // vectors), and the trailing grace-hash spill charge must equal the
-  // sequential build's.
+  // Filtered build spine: batches arrive with gaps (selection vectors).
   ExpectParallelParity(*MakeHashJoin(
       MakeFilter(Scan("big"), Cmp(CompareOp::kLt, K(), LitInt(2500))),
       Scan("small"), {0}, {0}));
 }
 
 TEST_F(ParallelExecTest, ParallelAggSumCountMinMax) {
-  // Every accumulator kind through the worker-partial / coordinator-merge
-  // split: SUM/AVG ride the shipped-double path, MIN/MAX the shipped
-  // operand path, COUNT(*) ships nothing.
+  // Every accumulator kind over an agg spine.
   ExpectParallelParity(*MakeAggregate(
       Scan("big"), {S()},
       {Agg(AggSpec::Kind::kSum, V(), "sum_v"),
@@ -291,8 +300,7 @@ TEST_F(ParallelExecTest, ParallelAggSumCountMinMax) {
 }
 
 TEST_F(ParallelExecTest, ParallelGlobalAggregate) {
-  // No group keys: one global group, every worker ships ordinal 0, and
-  // the vacuous key-compare walk must still count like sequential.
+  // No group keys: one global group.
   ExpectParallelParity(*MakeAggregate(
       Scan("big"), {},
       {Agg(AggSpec::Kind::kSum, V(), "sum_v"),
@@ -300,8 +308,8 @@ TEST_F(ParallelExecTest, ParallelGlobalAggregate) {
 }
 
 TEST_F(ParallelExecTest, ParallelAggEmptyInput) {
-  // Empty partitions everywhere: grouped agg yields zero rows, global
-  // agg a synthetic zero-count row — identically to sequential.
+  // Empty input: grouped agg yields zero rows, global agg a synthetic
+  // zero-count row.
   ExpectParallelParity(*MakeAggregate(
       MakeFilter(Scan("big"), Cmp(CompareOp::kLt, K(), LitInt(-1))), {S()},
       {Agg(AggSpec::Kind::kSum, V(), "sum_v")}));
@@ -311,10 +319,8 @@ TEST_F(ParallelExecTest, ParallelAggEmptyInput) {
 }
 
 TEST_F(ParallelExecTest, ParallelSortAtRoot) {
-  // Sort directly over the spine: per-worker index sorts merged by the
-  // coordinator, with the canonical (rank-replay) compare count. A
-  // duplicate-heavy string key plus descending double exercises the
-  // cross-run tiebreak.
+  // Sort directly over the spine, on a duplicate-heavy string key plus a
+  // descending double.
   ExpectParallelParity(
       *MakeSort(Scan("big"), {SortKey{S(), true}, SortKey{V(), false}}));
 }
@@ -326,8 +332,8 @@ TEST_F(ParallelExecTest, ParallelSortEmptyInput) {
 }
 
 TEST_F(ParallelExecTest, ParallelSortOverParallelBuildJoin) {
-  // All three breakers' machinery in one plan: parallel build (big as
-  // build side), morsel probe spine, sort root over the join.
+  // A join_build spine (big as build side) and a sort spine through the
+  // probe in one plan.
   ExpectParallelParity(*MakeSort(
       MakeHashJoin(MakeFilter(Scan("big"),
                               Cmp(CompareOp::kLt, K(), LitInt(20000))),
@@ -336,8 +342,8 @@ TEST_F(ParallelExecTest, ParallelSortOverParallelBuildJoin) {
 }
 
 TEST_F(ParallelExecTest, BreakerMergeDeterminism) {
-  // Same worker count, same seed => bit-identical doubles, with breaker
-  // phases (parallel build + partial agg + sort) in the plan.
+  // Same worker count => bit-identical doubles, with join_build and agg
+  // phases in the plan.
   PlanNodePtr plan = MakeSort(
       MakeAggregate(MakeHashJoin(Scan("big"), Scan("small"), {2}, {2}), {S()},
                     {Agg(AggSpec::Kind::kSum, V(), "sum_v")}),
@@ -353,10 +359,9 @@ TEST_F(ParallelExecTest, BreakerMergeDeterminism) {
 }
 
 TEST_F(ParallelExecTest, BreakerWorkLandsOnWorkerCores) {
-  // The fix this PR pins: breaker accumulate work (partial agg here) is
-  // attributed to the worker's core (w % num_cores), not bulk-charged to
-  // core 0 by the coordinator. With 2 workers on the 2-core testbed both
-  // ledgers must accrue, and the pool's phase mark must label agg work.
+  // The aggregate's per-batch accumulate work lands on the morsel's core,
+  // not bulk-charged to core 0. With 2 workers on the 2-core testbed both
+  // ledgers accrue, and the spine's phase mark labels it agg work.
   PlanNodePtr plan = MakeAggregate(
       Scan("big"), {S()}, {Agg(AggSpec::Kind::kSum, V(), "sum_v")});
   Machine machine(MachineConfig::PaperTestbed());
@@ -398,42 +403,46 @@ TEST_F(ParallelExecTest, EligibilityRules) {
 // --- Database-level parity over TPC-H benchmark queries ---
 
 TEST(ParallelTpchTest, BenchmarkQueryParityAcrossWorkerCounts) {
+  // Every worker count runs the query list on a fresh database, so the
+  // machines start from the same state and the per-query ledger deltas
+  // can be compared bit for bit.
   auto seq_db = testing::MakeTestDb();
   ASSERT_NE(seq_db, nullptr);
   auto seq_queries = tpch::BuildAllBenchmarkQueries(*seq_db->catalog());
   ASSERT_TRUE(seq_queries.ok());
+  std::vector<QueryResult> seq;
+  for (const auto& q : seq_queries.value()) {
+    auto r = seq_db->ExecutePlanQuery(*q.plan);
+    ASSERT_TRUE(r.ok()) << q.name << ": " << r.status().ToString();
+    seq.push_back(std::move(r).value());
+  }
 
-  for (int workers : {2, 8}) {
+  for (int workers : {2, 3, 8}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     auto par_db = testing::MakeTestDb();
     ASSERT_NE(par_db, nullptr);
     par_db->set_exec_workers(workers);
     auto par_queries = tpch::BuildAllBenchmarkQueries(*par_db->catalog());
     ASSERT_TRUE(par_queries.ok());
-    ASSERT_EQ(seq_queries.value().size(), par_queries.value().size());
+    ASSERT_EQ(seq.size(), par_queries.value().size());
 
-    for (size_t i = 0; i < seq_queries.value().size(); ++i) {
-      const auto& name = seq_queries.value()[i].name;
-      SCOPED_TRACE(name);
-      auto seq = seq_db->ExecutePlanQuery(*seq_queries.value()[i].plan);
-      ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+    for (size_t i = 0; i < seq.size(); ++i) {
+      SCOPED_TRACE(par_queries.value()[i].name);
       auto par = par_db->ExecutePlanQuery(*par_queries.value()[i].plan);
       ASSERT_TRUE(par.ok()) << par.status().ToString();
-      ExpectRowsEqual(seq.value().rows(), par.value().rows());
-      ExpectCountersEqual(seq.value().exec_stats, par.value().exec_stats);
-      ExpectNearRel(seq.value().cpu_joules, par.value().cpu_joules,
-                    kEnergyRelTol, "cpu_joules");
-      ExpectNearRel(seq.value().wall_joules, par.value().wall_joules,
-                    kEnergyRelTol, "wall_joules");
-      ExpectNearRel(seq.value().seconds, par.value().seconds, kEnergyRelTol,
-                    "seconds");
+      ExpectRowsEqual(seq[i].rows(), par.value().rows());
+      ExpectCountersEqual(seq[i].exec_stats, par.value().exec_stats);
+      EXPECT_EQ(seq[i].cpu_joules, par.value().cpu_joules);
+      EXPECT_EQ(seq[i].wall_joules, par.value().wall_joules);
+      EXPECT_EQ(seq[i].seconds, par.value().seconds);
     }
   }
 }
 
-TEST(ParallelTpchTest, GovernedQueryClampsToSequential) {
-  // A governor forces workers to 1; a governed parallel-configured run
-  // must be bit-identical to a governed sequential run.
+TEST(ParallelTpchTest, GovernedQueryKeepsScheduleBitIdentical) {
+  // A governed query keeps its simulated workers: a governed 8-worker run
+  // is bit-identical to a governed 1-worker run and still accrues
+  // per-core work.
   auto a = testing::MakeTestDb();
   auto b = testing::MakeTestDb();
   ASSERT_NE(a, nullptr);
@@ -453,6 +462,9 @@ TEST(ParallelTpchTest, GovernedQueryClampsToSequential) {
             rb.value().exec_stats.cycles_charged);
   EXPECT_EQ(ra.value().cpu_joules, rb.value().cpu_joules);
   ExpectRowsEqual(ra.value().rows(), rb.value().rows());
+  EXPECT_EQ(a->machine()->core_ledgers()[0].cycles, 0.0);
+  EXPECT_GT(b->machine()->core_ledgers()[0].cycles, 0.0);
+  EXPECT_GT(b->machine()->core_ledgers()[1].cycles, 0.0);
 }
 
 TEST(ParallelTpchTest, RowModeClampsToSequential) {

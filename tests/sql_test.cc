@@ -198,6 +198,55 @@ TEST_F(SqlEquivalenceTest, AggregateMixedWithNonGroupColumnRejected) {
       db_->ExecuteSql("SELECT n_name, COUNT(*) FROM nation").ok());
 }
 
+TEST_F(SqlEquivalenceTest, OrderByOrdinalBindsToSelectItem) {
+  // ORDER BY 1 sorts by the first select item, not by the constant 1.
+  auto r = db_->ExecuteSql("SELECT r_regionkey FROM region ORDER BY 1 DESC");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().rows().size(), 5u);
+  EXPECT_EQ(r.value().rows()[0][0].AsInt(), 4);
+  EXPECT_EQ(r.value().rows()[4][0].AsInt(), 0);
+  // Ordinals count output columns, SELECT * included.
+  auto star = db_->ExecuteSql("SELECT * FROM region ORDER BY 2 LIMIT 1");
+  ASSERT_TRUE(star.ok()) << star.status().ToString();
+  EXPECT_EQ(star.value().rows()[0][1].AsString(), "AFRICA");
+  auto mixed = db_->ExecuteSql(
+      "SELECT n_regionkey, n_name FROM nation ORDER BY 1 DESC, 2 ASC "
+      "LIMIT 1");
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  EXPECT_EQ(mixed.value().rows()[0][1].AsString(), "EGYPT");
+}
+
+TEST_F(SqlEquivalenceTest, OrderByOrdinalOutOfRangeIsParseError) {
+  for (const char* sql : {"SELECT r_regionkey FROM region ORDER BY 0",
+                          "SELECT r_regionkey FROM region ORDER BY 2",
+                          "SELECT * FROM region ORDER BY 4"}) {
+    SCOPED_TRACE(sql);
+    auto r = db_->ExecuteSql(sql);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+  }
+}
+
+TEST_F(SqlEquivalenceTest, SelectDistinctNamesItselfAsUnsupported) {
+  auto r = db_->ExecuteSql("SELECT DISTINCT r_regionkey FROM region");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("DISTINCT"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_EQ(r.status().message().find("unknown column"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST_F(SqlEquivalenceTest, Int64OverflowIsNull) {
+  auto r = db_->ExecuteSql(
+      "SELECT 9223372036854775807 + 1, r_regionkey * 2 FROM region "
+      "ORDER BY 2");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().rows().size(), 5u);
+  EXPECT_TRUE(r.value().rows()[0][0].is_null());
+  EXPECT_EQ(r.value().rows()[4][1].AsInt(), 8);
+}
+
 TEST_F(SqlEquivalenceTest, QualifiedColumnNames) {
   auto r = db_->ExecuteSql(
       "SELECT nation.n_name FROM nation WHERE nation.n_nationkey = 8");
