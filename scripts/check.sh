@@ -58,6 +58,13 @@ for w in 1 2 8; do
     ./build/batch_parity_fuzz_test --gtest_brief=1
 done
 
+# Benchmark determinism: ecobench builds its own Release tree
+# (.bench_build/) and runs every workload twice at a tiny scale with one
+# seed; the simulated metrics and logical-work counts must repeat bit for
+# bit and every answer check must hold (~2.5 s once built).
+echo "=== ecobench self-test ==="
+python3 ecobench/run.py --self-test
+
 if [[ "${FAST}" == "0" ]]; then
   run_config build-asan -DECODB_SANITIZE=address
   # Fault-injection fuzz smoke under ASan: a short random fault-schedule

@@ -1,9 +1,17 @@
 #include "ecodb/exec/exec_context.h"
 
+#include <cmath>
+
 namespace ecodb {
 
 const char* ToString(ExecMode m) {
   return m == ExecMode::kRow ? "row" : "batch";
+}
+
+uint64_t SortCompares(uint64_t n) {
+  if (n < 2) return 0;
+  const double d = static_cast<double>(n);
+  return static_cast<uint64_t>(std::floor(d * std::log2(d)));
 }
 
 ExecContext::ExecContext(Machine* machine, const EngineProfile* profile,
@@ -80,10 +88,18 @@ void ExecContext::ChargeAggUpdates(uint64_t n, int n_aggregates) {
   MaybeFlush();
 }
 
-void ExecContext::ChargeSortCompares(uint64_t n) {
+void ExecContext::ChargeSort(uint64_t rows) {
+  const uint64_t n = SortCompares(rows);
   if (n == 0) return;
   stats_.sort_compares += n;
   pending_cycles_ += profile_->sort_compare_cycles * static_cast<double>(n);
+  MaybeFlush();
+}
+
+void ExecContext::ChargeComparisons(uint64_t n) {
+  if (n == 0) return;
+  stats_.comparisons += n;
+  pending_cycles_ += profile_->compare_cycles * static_cast<double>(n);
   MaybeFlush();
 }
 

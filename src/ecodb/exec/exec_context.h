@@ -27,6 +27,12 @@ enum class ExecMode { kRow, kBatch };
 
 const char* ToString(ExecMode m);
 
+/// Comparisons charged for sorting `n` rows: 0 when n < 2, otherwise
+/// floor(n * log2 n). The one sort-count formula: SortOp charges it on
+/// the rows it sorted (both exec modes) and CostModel prices kSort with
+/// it, so the host's comparison sequence never reaches the simulation.
+uint64_t SortCompares(uint64_t n);
+
 /// Logical-operation counters accumulated during expression evaluation.
 /// Comparisons are counted lazily (short-circuit AND/OR), which is what
 /// gives QED's merged disjunctions their paper-shaped cost curve.
@@ -108,7 +114,11 @@ class ExecContext {
   void ChargeHashProbes(uint64_t n, int key_bytes);
   void ChargeAggUpdate(int n_aggregates) { ChargeAggUpdates(1, n_aggregates); }
   void ChargeAggUpdates(uint64_t n, int n_aggregates);
-  void ChargeSortCompares(uint64_t n);
+  /// Charges SortCompares(rows) sort compares.
+  void ChargeSort(uint64_t rows);
+  /// Charges `n` key comparisons of a breaker (hash-join match, group
+  /// lookup) straight to stats and cycles, at compare_cycles each.
+  void ChargeComparisons(uint64_t n);
   void ChargeOutputTuple(int bytes) { ChargeOutputTuples(1, bytes); }
   void ChargeOutputTuples(uint64_t n, int bytes_per_tuple);
   /// Drains eval_counters into cycles.

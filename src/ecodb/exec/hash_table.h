@@ -10,15 +10,10 @@
 // (multimap semantics) are chained in insertion order through head/tail
 // pointers in the slot plus next-links parallel to the payload pool, so a
 // probe touches one slot line and then walks a dense index array instead
-// of heap nodes.
-//
-// Accounting-parity contract: the index itself never touches ExecContext.
-// Callers count one bucket-compare per chain entry examined and one
-// key-equality comparison per column compared, exactly as the node-based
-// containers did — and because row and batch execution now share this one
-// table implementation (same insertion order, same chain order, same
-// candidate sets), the logical-work counters stay bit-exact across
-// ExecModes.
+// of heap nodes. A chain holds only entries with an equal 64-bit hash,
+// so it is the key's duplicates (plus any full-hash collisions). The
+// index charges nothing; callers charge closed forms of what they
+// processed (matches, found groups).
 
 #ifndef ECODB_EXEC_HASH_TABLE_H_
 #define ECODB_EXEC_HASH_TABLE_H_
@@ -37,10 +32,6 @@ namespace ecodb {
 /// position; payload index N must be inserted before index N+1 (the
 /// next-link array grows with the pool). No deletion (query-lifetime
 /// tables), so there are no tombstones.
-///
-/// Chains append at the tail and entries never move, so a payload's
-/// 1-based position in its chain is fixed for the table's lifetime
-/// (HashAggOp's dictionary-key memo relies on it).
 class FlatHashIndex {
  public:
   static constexpr uint32_t kInvalid = 0xFFFFFFFFu;

@@ -376,26 +376,12 @@ HashJoinOp::HashJoinOp(ExecContext* ctx, OperatorPtr build, OperatorPtr probe,
   assert(build_keys_.size() == probe_keys_.size());
 }
 
-bool HashJoinOp::KeysEqualRow(uint32_t idx, const Row& probe_row) {
+template <typename ProbeCell>
+bool HashJoinOp::KeysEqual(uint32_t idx, ProbeCell&& probe_cell) const {
   for (size_t i = 0; i < build_keys_.size(); ++i) {
-    ++ctx_->eval_counters()->comparisons;
     if (CompareCellViews(
             build_cols_[static_cast<size_t>(build_keys_[i])].View(idx),
-            CellView::Of(probe_row[static_cast<size_t>(probe_keys_[i])])) !=
-        0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool HashJoinOp::KeysEqualBatch(uint32_t idx, const RowBatch& probe_batch,
-                                uint32_t probe_row) {
-  for (size_t i = 0; i < build_keys_.size(); ++i) {
-    ++ctx_->eval_counters()->comparisons;
-    if (CompareCellViews(
-            build_cols_[static_cast<size_t>(build_keys_[i])].View(idx),
-            probe_batch.ViewCell(probe_keys_[i], probe_row)) != 0) {
+            probe_cell(probe_keys_[i])) != 0) {
       return false;
     }
   }
@@ -507,9 +493,10 @@ Status HashJoinOp::Next(Row* out, bool* has_row) {
     if (probe_valid_) {
       while (match_ != FlatHashIndex::kInvalid) {
         const uint32_t idx = match_;
-        ++ctx_->eval_counters()->comparisons;  // bucket-chain traversal
         match_ = index_.Next(idx);
-        if (KeysEqualRow(idx, probe_row_)) {
+        if (KeysEqual(idx, [&](int c) {
+              return CellView::Of(probe_row_[static_cast<size_t>(c)]);
+            })) {
           out->clear();
           out->reserve(n_build_cols + probe_row_.size());
           for (size_t c = 0; c < n_build_cols; ++c) {
@@ -525,13 +512,12 @@ Status HashJoinOp::Next(Row* out, bool* has_row) {
           } else {
             out->insert(out->end(), probe_row_.begin(), probe_row_.end());
           }
-          ctx_->ChargeEvalOps();
+          ctx_->ChargeComparisons(MatchComparisons());
           *has_row = true;
           return Status::OK();
         }
       }
       probe_valid_ = false;
-      ctx_->ChargeEvalOps();
     }
     bool has = false;
     ECODB_RETURN_NOT_OK(probe_child_->Next(&probe_row_, &has));
@@ -700,9 +686,9 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
       while (match_ != FlatHashIndex::kInvalid &&
              emitted < RowBatch::kDefaultBatchRows) {
         const uint32_t idx = match_;
-        ++ctx_->eval_counters()->comparisons;  // bucket-chain traversal
         match_ = index_.Next(idx);
-        if (KeysEqualBatch(idx, probe_batch_, pr)) {
+        if (KeysEqual(idx,
+                      [&](int c) { return probe_batch_.ViewCell(c, pr); })) {
           // Record the match; the columnar copy happens in FlushMatches.
           match_build_.push_back(idx);
           match_probe_.push_back(pr);
@@ -736,7 +722,7 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
     probe_valid_ = true;
   }
   FlushMatches(out);
-  ctx_->ChargeEvalOps();
+  ctx_->ChargeComparisons(emitted * MatchComparisons());
   out->set_num_rows(emitted);
   out->ExtendIdentitySel(0);
   *has_rows = emitted > 0;
@@ -1057,7 +1043,6 @@ HashAggOp::Group* HashAggOp::FindOrCreateGroup(size_t hash, size_t n_keys,
   for (uint32_t idx = group_index_.Find(hash);
        idx != FlatHashIndex::kInvalid; idx = group_index_.Next(idx)) {
     Group& g = groups_[idx];
-    ++ctx_->eval_counters()->comparisons;
     bool equal = true;
     for (size_t i = 0; i < n_keys; ++i) {
       if (CompareCellViews(CellView::Of(g.key[i]), key_at(i)) != 0) {
@@ -1105,7 +1090,11 @@ Status HashAggOp::ConsumeChildRowMode() {
     Group* target = FindOrCreateGroup(
         h, key.size(), [&](size_t i) { return CellView::Of(key[i]); },
         [&] { return std::move(key); }, &new_groups);
-    if (new_groups > 0) ctx_->ChargeHashBuild(key_bytes);
+    if (new_groups > 0) {
+      ctx_->ChargeHashBuild(key_bytes);
+    } else {
+      ctx_->ChargeComparisons(1);  // the row found its group
+    }
     UpdateGroup(target, row);
   }
   return Status::OK();
@@ -1215,7 +1204,6 @@ Status HashAggOp::ConsumeChildBatchMode() {
       dict_memo_dicts_ = key_dicts;
       dict_memo_group_.assign(all_dict ? memo_entries : 0,
                               FlatHashIndex::kInvalid);
-      dict_memo_cmps_.assign(dict_memo_group_.size(), 0);
     }
     for (uint32_t r : batch.sel()) {
       // Hash and bucket-compare against unboxed key views; the key Row is
@@ -1239,10 +1227,6 @@ Status HashAggOp::ConsumeChildBatchMode() {
         }
         uint32_t& memo = dict_memo_group_[code];
         if (memo != FlatHashIndex::kInvalid) {
-          // Memo hit: replay the chain walk's bucket-compare charge (its
-          // length is fixed — chains append at the tail and this group's
-          // position in its chain never changes) and jump to the group.
-          ctx_->eval_counters()->comparisons += dict_memo_cmps_[code];
           target = &groups_[memo];
         } else {
           size_t h = kRowKeyHashSeed;
@@ -1250,15 +1234,8 @@ Status HashAggOp::ConsumeChildBatchMode() {
             h = HashCombineKey(
                 h, key_dicts[i]->DictHash(key_codes[i][key_code_bases[i] + r]));
           }
-          const uint64_t cmp_before = ctx_->eval_counters()->comparisons;
-          const uint64_t groups_before = new_groups;
           target = FindOrCreateGroup(h, n_keys, key_at, make_key, &new_groups);
           memo = static_cast<uint32_t>(target - groups_.data());
-          // A future lookup of this key walks the same chain prefix plus
-          // (when this call inserted the group) the matching entry itself.
-          dict_memo_cmps_[code] = static_cast<uint32_t>(
-              ctx_->eval_counters()->comparisons - cmp_before +
-              (new_groups > groups_before ? 1 : 0));
         }
       } else {
         size_t h = kRowKeyHashSeed;
@@ -1271,6 +1248,7 @@ Status HashAggOp::ConsumeChildBatchMode() {
     }
     ctx_->ChargeHashProbes(batch.active(), key_bytes);
     ctx_->ChargeHashBuilds(new_groups, key_bytes);
+    ctx_->ChargeComparisons(batch.active() - new_groups);
     ctx_->ChargeAggUpdates(batch.active(), static_cast<int>(aggs_.size()));
     ctx_->ChargeEvalOps();
   }
@@ -1364,8 +1342,8 @@ Status HashAggOp::Open() {
     return consume;
   }
   child_->Close();
-  // Drain the trailing bucket-compare / aggregate-argument counters (the
-  // per-row drain above only covers work up to the previous row).
+  // Drain the trailing aggregate-argument counters (the per-row drain
+  // above only covers work up to the previous row).
   ctx_->ChargeEvalOps();
 
   MaterializeResults();
@@ -1512,17 +1490,15 @@ Status SortOp::ConsumeChildRowMode() {
     return key_check;
   }
 
-  uint64_t compares = 0;
   std::sort(decorated.begin(), decorated.end(),
             [&](const auto& a, const auto& b) {
-              ++compares;
               for (size_t i = 0; i < keys_.size(); ++i) {
                 int c = a.first[i].Compare(b.first[i]);
                 if (c != 0) return keys_[i].ascending ? c < 0 : c > 0;
               }
               return a.second < b.second;  // stable tiebreak
             });
-  ctx_->ChargeSortCompares(compares);
+  ctx_->ChargeSort(decorated.size());
   // Decorated keys die with this frame; mirror that in the tracker (the
   // batch path clears its key columns at the same point).
   ctx_->memory_tracker()->Release(key_bytes);
@@ -1618,15 +1594,11 @@ Status SortOp::ConsumeChildBatchMode() {
   // mirrors the row path's post-decorate check (same logical total).
   ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
 
-  // Index sort over unboxed key views. Same elements in the same initial
-  // order under the same total order as the row-mode decorate sort, so
-  // std::sort performs the identical comparison sequence — one sort
-  // compare charged per comparator call in both modes.
+  // Index sort over unboxed key views, under the row path's total order
+  // (keys, then input position).
   order_.resize(n_rows_);
   for (size_t i = 0; i < n_rows_; ++i) order_[i] = static_cast<uint32_t>(i);
-  uint64_t compares = 0;
   std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
-    ++compares;
     for (size_t i = 0; i < keys_.size(); ++i) {
       int c;
       if (key_code_ok_[i]) {
@@ -1642,7 +1614,7 @@ Status SortOp::ConsumeChildBatchMode() {
     }
     return a < b;  // stable tiebreak
   });
-  ctx_->ChargeSortCompares(compares);
+  ctx_->ChargeSort(n_rows_);
   // The key columns are only read by the comparator; release them here
   // so the tracker matches the row path, whose decorated keys die at
   // the same point.
@@ -1821,7 +1793,66 @@ void LimitOp::Close() {
   ctx_->Flush();
 }
 
-// --- ExecuteOperatorColumnar / ExecuteOperator ---
+// --- ResultDrain / ExecuteOperatorColumnar / ExecuteOperator ---
+
+ResultDrain::ResultDrain(Operator* op, ExecContext* ctx)
+    : op_(op), ctx_(ctx), set_(op->schema()), width_(op->schema().RowWidth()) {}
+
+void ResultDrain::ChargeRows(uint64_t n) {
+  ctx_->ChargeOutputTuples(n, width_);
+  const uint64_t bytes = n * static_cast<uint64_t>(width_);
+  ctx_->memory_tracker()->Charge(bytes);
+  result_bytes_ += bytes;
+}
+
+Status ResultDrain::Pull(bool* done) {
+  *done = false;
+  bool has = false;
+  if (ctx_->exec_mode() == ExecMode::kBatch) {
+    ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
+    ECODB_RETURN_NOT_OK(op_->NextBatch(&batch_, &has));
+    *done = !has;
+    if (has) {
+      ChargeRows(batch_.active());
+      set_.AppendBatch(batch_);
+    }
+    return Status::OK();
+  }
+  for (size_t i = 0; i < RowBatch::kDefaultBatchRows && !*done; ++i) {
+    ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
+    ECODB_RETURN_NOT_OK(op_->Next(&row_, &has));
+    *done = !has;
+    if (has) {
+      ChargeRows(1);
+      set_.AppendRow(row_);
+    }
+  }
+  return Status::OK();
+}
+
+ResultSet ResultDrain::Finish() {
+  // Surface the result columns' string-dedup effectiveness (diagnostics;
+  // how many appends take the copy path differs by exec mode, so these
+  // counters are excluded from parity comparisons — see QueryExecStats).
+  uint64_t dedup_hits = 0, dedup_misses = 0;
+  for (int c = 0; c < set_.num_cols(); ++c) {
+    const StringArenaPtr& arena = set_.col(c).strings();
+    if (arena != nullptr) {
+      dedup_hits += arena->dedup_hits();
+      dedup_misses += arena->dedup_misses();
+    }
+  }
+  ctx_->AddDictDedupCounters(dedup_hits, dedup_misses);
+  Close();
+  ctx_->Flush();
+  return std::move(set_);
+}
+
+void ResultDrain::Close() {
+  ctx_->memory_tracker()->Release(result_bytes_);
+  result_bytes_ = 0;
+  op_->Close();
+}
 
 Result<ResultSet> ExecuteOperatorColumnar(Operator* op, ExecContext* ctx,
                                           ExecMode mode) {
@@ -1834,69 +1865,15 @@ Result<ResultSet> ExecuteOperatorColumnar(Operator* op, ExecContext* ctx,
     op->Close();
     return open;
   }
-  // Schemas bind at Open (scans look up the catalog), so the result shape
-  // and output width are computed here, not before.
-  ResultSet set(op->schema());
-  const int width = op->schema().RowWidth();
-  // The accumulating result counts against the query's memory budget
-  // (logical schema width per row, identical across modes); the charge
-  // is dropped once the set is handed to the caller — tracker lifetime
-  // ends with the query, the result outlives it.
-  MemoryTracker* tracker = ctx->memory_tracker();
-  uint64_t result_bytes = 0;
-  if (mode == ExecMode::kBatch) {
-    RowBatch batch;
-    for (;;) {
-      bool has = false;
-      Status st = ctx->CheckGovernor();
-      if (st.ok()) st = op->NextBatch(&batch, &has);
-      if (!st.ok()) {
-        tracker->Release(result_bytes);
-        op->Close();
-        return st;
-      }
-      if (!has) break;
-      ctx->ChargeOutputTuples(batch.active(), width);
-      const uint64_t rb =
-          static_cast<uint64_t>(batch.active()) * static_cast<uint64_t>(width);
-      tracker->Charge(rb);
-      result_bytes += rb;
-      set.AppendBatch(batch);
-    }
-  } else {
-    Row row;
-    bool has = false;
-    for (;;) {
-      Status st = ctx->CheckGovernor();
-      if (st.ok()) st = op->Next(&row, &has);
-      if (!st.ok()) {
-        tracker->Release(result_bytes);
-        op->Close();
-        return st;
-      }
-      if (!has) break;
-      ctx->ChargeOutputTuple(width);
-      tracker->Charge(static_cast<uint64_t>(width));
-      result_bytes += static_cast<uint64_t>(width);
-      set.AppendRow(row);
+  ResultDrain drain(op, ctx);
+  for (bool done = false; !done;) {
+    Status st = drain.Pull(&done);
+    if (!st.ok()) {
+      drain.Close();
+      return st;
     }
   }
-  // Surface the result columns' string-dedup effectiveness (diagnostics;
-  // how many appends take the copy path differs by exec mode, so these
-  // counters are excluded from parity comparisons — see QueryExecStats).
-  uint64_t dedup_hits = 0, dedup_misses = 0;
-  for (int c = 0; c < set.num_cols(); ++c) {
-    const StringArenaPtr& arena = set.col(c).strings();
-    if (arena != nullptr) {
-      dedup_hits += arena->dedup_hits();
-      dedup_misses += arena->dedup_misses();
-    }
-  }
-  ctx->AddDictDedupCounters(dedup_hits, dedup_misses);
-  tracker->Release(result_bytes);
-  op->Close();
-  ctx->Flush();
-  return set;
+  return drain.Finish();
 }
 
 Result<std::vector<Row>> ExecuteOperator(Operator* op, ExecContext* ctx,

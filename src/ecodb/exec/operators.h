@@ -179,8 +179,8 @@ class ProjectOp : public Operator {
 /// pool and the probe batch straight into typed output lanes, with
 /// strings carried by pointer from stable storage (build pool / table)
 /// instead of copied per match. Row mode hashes the materialized probe
-/// row — identical hashes, identical chain walks, identical
-/// bucket-compare and key-equality counts.
+/// row. Either way each emitted match charges MatchComparisons(); chain
+/// entries that fail key equality (64-bit hash collisions) charge nothing.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(ExecContext* ctx, OperatorPtr build, OperatorPtr probe,
@@ -196,12 +196,14 @@ class HashJoinOp : public Operator {
  private:
   /// Drains the (already open) build child into the index and pool.
   Status ConsumeBuild();
-  /// Key-equality of build entry `idx` against a materialized probe row /
-  /// a probe row living in a batch. Both count one comparison per key
-  /// column compared (short-circuit), so the modes stay in lockstep.
-  bool KeysEqualRow(uint32_t idx, const Row& probe_row);
-  bool KeysEqualBatch(uint32_t idx, const RowBatch& probe_batch,
-                      uint32_t probe_row);
+  /// Key-equality of build entry `idx` against a probe row whose key
+  /// column c reads as `probe_cell(c)` (a CellView; materialized row or
+  /// batch row).
+  template <typename ProbeCell>
+  bool KeysEqual(uint32_t idx, ProbeCell&& probe_cell) const;
+  /// Comparisons charged per emitted match: one bucket compare plus one
+  /// per key column.
+  uint64_t MatchComparisons() const { return 1 + build_keys_.size(); }
   /// Gathers the accumulated match pairs into `out` and clears them.
   /// Must run before the probe batch they reference is replaced.
   void FlushMatches(RowBatch* out);
@@ -335,11 +337,10 @@ class HashAggOp : public Operator {
                             uint32_t r);
   /// Finds or creates the group for a key presented via `key_at(i)` (an
   /// unboxed CellView of the i-th key component); `make_key()` builds the
-  /// stored Row only when a new group is created. One implementation (and
-  /// one flat hash table) serves both execution modes so bucket-compare
-  /// counting stays in lockstep (the parity invariant). The returned
-  /// pointer is valid only until the next call (the contiguous group pool
-  /// may reallocate).
+  /// stored Row only when a new group is created. Charges nothing: each
+  /// input row that finds an existing group costs one comparison, which
+  /// the consume loops charge. The returned pointer is valid only until
+  /// the next call (the contiguous group pool may reallocate).
   template <typename KeyAt, typename MakeKey>
   Group* FindOrCreateGroup(size_t hash, size_t n_keys, KeyAt&& key_at,
                            MakeKey&& make_key, uint64_t* new_groups);
@@ -362,16 +363,11 @@ class HashAggOp : public Operator {
   // Dictionary-key memo (batch consume only), used when EVERY group key
   // resolves to the codes of a dict-encoded string column: maps the
   // composite code (mixed-radix over the keys' dictionary sizes) to its
-  // group's pool index plus the bucket-compare count the generic chain
-  // walk would charge for that key tuple. Chain positions are fixed once
-  // inserted (FlatHashIndex chains append at the tail), so a memo hit
-  // can skip hashing and the walk entirely while replaying the exact
-  // counter delta — the parity invariant holds bit-for-bit. The memo is
-  // bounded by kDictMemoMaxEntries (dictionaries themselves cap at
+  // group's pool index, so a memo hit skips hashing and the chain walk.
+  // Bounded by kDictMemoMaxEntries (dictionaries themselves cap at
   // Column::kDictMaxEntries each).
   std::vector<const Column*> dict_memo_dicts_;
   std::vector<uint32_t> dict_memo_group_;
-  std::vector<uint32_t> dict_memo_cmps_;
 
   // Columnar result store: one TypedColumn per output field, shared by
   // both emission paths; emit_idx_ is NextBatch's gather-index scratch.
@@ -388,10 +384,9 @@ class HashAggOp : public Operator {
 /// keys are evaluated vectorized into their own TypedColumns, an *index*
 /// vector is sorted comparing unboxed CellViews, and output batches
 /// gather typed lanes in sorted order (strings by pointer into the
-/// operator's arenas, retained by each emitted batch). Key-evaluation
-/// counts and the std::sort comparison sequence are identical across
-/// modes — same rows in the same initial order under the same total
-/// order — so all parity counters stay bit-exact.
+/// operator's arenas, retained by each emitted batch). Both modes charge
+/// the same key evaluations and ExecContext::ChargeSort on the row count,
+/// so how std::sort reaches the order never shows in the counters.
 class SortOp : public Operator {
  public:
   SortOp(ExecContext* ctx, OperatorPtr child, std::vector<SortKey> keys);
@@ -431,9 +426,8 @@ class SortOp : public Operator {
   // resolves sort key k to dictionary codes of one column, the
   // comparator compares int32 codes instead of string bytes — legal
   // because the dictionary is sorted, so codes are order-preserving.
-  // One sort compare is still charged per comparator call, so the
-  // parity counters are untouched. Any batch that breaks the pattern
-  // clears the flag and the comparator falls back to key_cols_.
+  // Any batch that breaks the pattern clears the flag and the comparator
+  // falls back to key_cols_.
   std::vector<std::vector<int32_t>> key_code_vals_;
   std::vector<const Column*> key_dicts_;
   std::vector<char> key_code_ok_;
@@ -469,6 +463,42 @@ class LimitOp : public Operator {
   OperatorPtr child_;
   int64_t limit_;
   int64_t produced_ = 0;
+};
+
+/// Drains an opened operator tree into a ResultSet, one Pull at a time:
+/// ExecuteOperatorColumnar pulls to the end in one call, QueryTask one
+/// Pull per scheduler step. Each Pull checks the governor before every
+/// child pull, charges per-row output cost and counts the accumulating
+/// result against the query's memory budget (logical schema width per
+/// row, identical across modes; the charge is dropped once the result is
+/// handed over — the result outlives the query's tracker).
+class ResultDrain {
+ public:
+  /// `op` must be open (schemas bind at Open); pulls in ctx's exec mode.
+  ResultDrain(Operator* op, ExecContext* ctx);
+
+  /// Appends one batch (row mode: up to one batch's worth of rows); sets
+  /// *done at end of stream. On error the caller must Close.
+  Status Pull(bool* done);
+  /// After *done: folds the result's string-dedup counters into the
+  /// stats, releases the result charge, closes the tree, flushes, and
+  /// hands the result over.
+  ResultSet Finish();
+  /// Releases the result charge and closes the tree (the error path;
+  /// Finish does it too).
+  void Close();
+
+ private:
+  /// Output cost and result-bytes charge of `n` appended rows.
+  void ChargeRows(uint64_t n);
+
+  Operator* op_;
+  ExecContext* ctx_;
+  ResultSet set_;
+  int width_;
+  uint64_t result_bytes_ = 0;
+  RowBatch batch_;
+  Row row_;
 };
 
 /// Drains an operator tree: Open, Next/NextBatch..., Close, charging

@@ -5,10 +5,7 @@ namespace ecodb {
 QueryTask::~QueryTask() {
   // Abandoned mid-run (scheduler shutdown): tear down like a failure so
   // operator pools and tracked bytes never outlive the task.
-  if (state_ == State::kRunning) {
-    ctx_->memory_tracker()->Release(result_bytes_);
-    op_->Close();
-  }
+  if (state_ == State::kRunning) drain_->Close();
 }
 
 void QueryTask::Govern(const QueryLimits& limits, double start_seconds) {
@@ -18,8 +15,11 @@ void QueryTask::Govern(const QueryLimits& limits, double start_seconds) {
 }
 
 QueryTask::State QueryTask::Fail(const Status& status) {
-  ctx_->memory_tracker()->Release(result_bytes_);
-  if (op_ != nullptr) op_->Close();
+  if (drain_.has_value()) {
+    drain_->Close();
+  } else if (op_ != nullptr) {
+    op_->Close();
+  }
   status_ = status;
   state_ = State::kFailed;
   return state_;
@@ -44,53 +44,22 @@ QueryTask::State QueryTask::Step() {
       op_ = std::move(op.value());
       st = op_->Open();
       if (!st.ok()) return Fail(st);
-      set_.Reset(op_->schema());
-      width_ = op_->schema().RowWidth();
+      drain_.emplace(op_.get(), ctx_.get());
       state_ = State::kRunning;
       return state_;
     }
 
     case State::kRunning: {
-      // One drain iteration of ExecuteOperatorColumnar, governor check
-      // included. Row mode pulls up to one batch's worth of rows so a
+      // One Pull of ExecuteOperatorColumnar's drain, governor checks
+      // included; row mode pulls up to one batch's worth of rows so a
       // step is comparable work in both modes.
-      MemoryTracker* tracker = ctx_->memory_tracker();
-      Status st = ctx_->CheckGovernor();
+      bool done = false;
+      Status st = drain_->Pull(&done);
       if (!st.ok()) return Fail(st);
-      if (mode_ == ExecMode::kBatch) {
-        bool has = false;
-        st = op_->NextBatch(&batch_, &has);
-        if (!st.ok()) return Fail(st);
-        if (has) {
-          ctx_->ChargeOutputTuples(batch_.active(), width_);
-          const uint64_t rb = static_cast<uint64_t>(batch_.active()) *
-                              static_cast<uint64_t>(width_);
-          tracker->Charge(rb);
-          result_bytes_ += rb;
-          set_.AppendBatch(batch_);
-          return state_;
-        }
-      } else {
-        Row row;
-        for (size_t i = 0; i < RowBatch::kDefaultBatchRows; ++i) {
-          bool has = false;
-          st = ctx_->CheckGovernor();
-          if (st.ok()) st = op_->Next(&row, &has);
-          if (!st.ok()) return Fail(st);
-          if (!has) goto drained;
-          ctx_->ChargeOutputTuple(width_);
-          tracker->Charge(static_cast<uint64_t>(width_));
-          result_bytes_ += static_cast<uint64_t>(width_);
-          set_.AppendRow(row);
-        }
-        return state_;
+      if (done) {
+        set_ = drain_->Finish();
+        state_ = State::kDone;
       }
-    drained:
-      tracker->Release(result_bytes_);
-      result_bytes_ = 0;
-      op_->Close();
-      ctx_->Flush();
-      state_ = State::kDone;
       return state_;
     }
   }

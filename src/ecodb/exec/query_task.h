@@ -12,8 +12,7 @@
 // to the accumulating ResultSet. Every step boundary is a governor
 // checkpoint: the task's own QueryGovernor (deadline anchored at
 // *admission*, so queue wait and cross-query interference count against
-// it) is consulted before each pull, exactly as the monolithic drain
-// does.
+// it) is consulted before each pull: both drive the same ResultDrain.
 //
 // The task owns its ExecContext, governor, operator tree and result;
 // failure at any step closes the operator stack and releases tracked
@@ -26,9 +25,11 @@
 #define ECODB_EXEC_QUERY_TASK_H_
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "ecodb/exec/exec_context.h"
+#include "ecodb/exec/operators.h"
 #include "ecodb/exec/plan.h"
 #include "ecodb/exec/query_governor.h"
 #include "ecodb/exec/result_set.h"
@@ -84,10 +85,8 @@ class QueryTask {
   State state_ = State::kCreated;
   Status status_ = Status::OK();
   OperatorPtr op_;
-  ResultSet set_;
-  RowBatch batch_;
-  int width_ = 0;
-  uint64_t result_bytes_ = 0;
+  std::optional<ResultDrain> drain_;  ///< set once op_ is open
+  ResultSet set_;                     ///< the result, once kDone
 };
 
 }  // namespace ecodb

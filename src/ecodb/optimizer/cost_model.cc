@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "ecodb/exec/exec_context.h"
 #include "ecodb/storage/heap_file.h"
 #include "ecodb/util/strings.h"
 
@@ -343,8 +344,10 @@ Result<CostModel::NodeEstimate> CostModel::EstimateNode(
       ECODB_ASSIGN_OR_RETURN(NodeEstimate child,
                              EstimateNode(*node.children[0]));
       est = child;
-      double n = std::max(2.0, child.rows);
-      est.cycles += n * std::log2(n) * p.sort_compare_cycles;
+      // The executor charges the same closed form (ExecContext::ChargeSort).
+      const uint64_t n = static_cast<uint64_t>(std::llround(child.rows));
+      est.cycles +=
+          static_cast<double>(SortCompares(n)) * p.sort_compare_cycles;
       return est;
     }
     case PlanKind::kLimit: {

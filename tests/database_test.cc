@@ -98,13 +98,15 @@ TEST(DatabaseTest, PlanSqlReturnsExplainablePlan) {
 }
 
 TEST(ExecContextTest, ZeroSortComparesChargeIsFree) {
-  // Regression guard for the n == 0 early-return: a no-op charge must
-  // leave both the counter and the pending-cycle account untouched.
+  // Regression guard for the n == 0 early-return: sorting 0 or 1 rows
+  // charges zero compares and must leave both the counter and the
+  // pending-cycle account untouched.
   Machine machine(MachineConfig::PaperTestbed());
   EngineProfile profile = EngineProfile::MySqlMemory();
   Catalog catalog;
   ExecContext ctx(&machine, &profile, &catalog, nullptr);
-  ctx.ChargeSortCompares(0);
+  ctx.ChargeSort(0);
+  ctx.ChargeSort(1);
   ctx.Flush();
   EXPECT_EQ(ctx.stats().sort_compares, 0u);
   EXPECT_EQ(ctx.stats().cycles_charged, 0.0);

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "ecodb/exec/operators.h"
 #include "ecodb/exec/plan.h"
+#include "ecodb/optimizer/cost_model.h"
 #include "test_util.h"
 
 namespace ecodb {
@@ -405,6 +409,130 @@ TEST_F(OperatorsTest, SortIsStableViaTiebreak) {
     if (rows[i - 1][2].AsString() == rows[i][2].AsString()) {
       EXPECT_LT(rows[i - 1][0].AsInt(), rows[i][0].AsInt());
     }
+  }
+}
+
+TEST_F(OperatorsTest, SortChargesClosedFormWhateverTheInputOrder) {
+  // One multiset of keys (with duplicates) presented ascending, descending
+  // and shuffled: every presentation charges SortCompares(n) in both
+  // exec modes, however many comparator calls std::sort made.
+  constexpr int kRows = 1000;
+  std::vector<int64_t> keys;
+  for (int i = 0; i < kRows; ++i) keys.push_back(i % 250);
+  std::vector<int64_t> shuffled = keys;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(7));
+  std::sort(keys.begin(), keys.end());
+  std::vector<int64_t> descending(keys.rbegin(), keys.rend());
+  const std::pair<const char*, const std::vector<int64_t>*> inputs[] = {
+      {"sort_asc", &keys}, {"sort_desc", &descending},
+      {"sort_shuf", &shuffled}};
+  Schema schema({Field("k", ValueType::kInt64)});
+  for (const auto& [name, vals] : inputs) {
+    Table* t = catalog_.CreateTable(name, schema).value();
+    for (int64_t v : *vals) ASSERT_TRUE(t->AppendRow({Value::Int(v)}).ok());
+    ASSERT_TRUE(catalog_.FinalizeLoad(name).ok());
+  }
+  for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
+    for (const auto& input : inputs) {
+      ctx_.ResetStats();
+      PlanNodePtr sort = MakeSort(
+          Scan(input.first), {SortKey{Col(0, ValueType::kInt64, "k"), true}});
+      auto rows = ExecutePlan(*sort, &ctx_, mode);
+      ASSERT_TRUE(rows.ok());
+      ASSERT_EQ(rows.value().size(), static_cast<size_t>(kRows));
+      EXPECT_EQ(ctx_.stats().sort_compares, SortCompares(kRows))
+          << input.first << " " << ToString(mode);
+    }
+  }
+  EXPECT_EQ(SortCompares(0), 0u);
+  EXPECT_EQ(SortCompares(1), 0u);
+  EXPECT_EQ(SortCompares(2), 2u);
+  EXPECT_EQ(SortCompares(5), 11u);  // floor(5 * 2.3219...)
+  EXPECT_EQ(SortCompares(1024), 10240u);
+}
+
+TEST_F(OperatorsTest, CostModelPricesSortWithTheExecutorsClosedForm) {
+  CostModel model(&catalog_, &profile_, MachineConfig::PaperTestbed());
+  PlanNodePtr scan = Scan("t");
+  PlanNodePtr sort =
+      MakeSort(Scan("t"), {SortKey{Col(0, ValueType::kInt64, "k"), true}});
+  auto scan_cost = model.Estimate(*scan, SystemSettings::Stock());
+  auto sort_cost = model.Estimate(*sort, SystemSettings::Stock());
+  ASSERT_TRUE(scan_cost.ok());
+  ASSERT_TRUE(sort_cost.ok());
+  const double expected =
+      static_cast<double>(SortCompares(100)) * profile_.sort_compare_cycles;
+  EXPECT_NEAR(sort_cost.value().cpu_cycles - scan_cost.value().cpu_cycles,
+              expected, expected * 1e-9);
+  // The executor charges the same count on the same rows.
+  Run(*sort);
+  EXPECT_EQ(ctx_.stats().sort_compares, SortCompares(100));
+}
+
+TEST_F(OperatorsTest, HashJoinChargesOneBucketPlusKeyComparesPerMatch) {
+  // Duplicate build keys plus a build key whose full 64-bit hash collides
+  // with them: each emitted match charges 1 + n_keys comparisons, and
+  // walking past the colliding entry charges nothing.
+  Row key1, key2;
+  if (!testing::MakeCollidingKeyPair(&key1, &key2)) {
+    GTEST_SKIP() << "std::hash<int64_t> is not invertible here";
+  }
+  Schema schema({Field("x", ValueType::kInt64), Field("y", ValueType::kInt64)});
+  Table* build = catalog_.CreateTable("dup_build", schema).value();
+  for (int rep = 0; rep < 3; ++rep) {
+    ASSERT_TRUE(build->AppendRow({key1[0], key1[1]}).ok());
+  }
+  ASSERT_TRUE(build->AppendRow({key2[0], key2[1]}).ok());
+  ASSERT_TRUE(catalog_.FinalizeLoad("dup_build").ok());
+  Table* probe = catalog_.CreateTable("dup_probe", schema).value();
+  ASSERT_TRUE(probe->AppendRow({key1[0], key1[1]}).ok());
+  ASSERT_TRUE(probe->AppendRow({key2[0], key2[1]}).ok());
+  ASSERT_TRUE(probe->AppendRow({key1[0], key1[1]}).ok());
+  ASSERT_TRUE(probe->AppendRow({Value::Int(7), Value::Int(7)}).ok());
+  ASSERT_TRUE(catalog_.FinalizeLoad("dup_probe").ok());
+
+  for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
+    ctx_.ResetStats();
+    PlanNodePtr join =
+        MakeHashJoin(Scan("dup_build"), Scan("dup_probe"), {0, 1}, {0, 1});
+    auto rows = ExecutePlan(*join, &ctx_, mode);
+    ASSERT_TRUE(rows.ok());
+    const uint64_t matches = 3 + 1 + 3;
+    ASSERT_EQ(rows.value().size(), matches) << ToString(mode);
+    EXPECT_EQ(ctx_.stats().comparisons, matches * (1 + 2)) << ToString(mode);
+  }
+}
+
+TEST_F(OperatorsTest, HashAggOverDictStringChargesRowsMinusGroups) {
+  // A dictionary-string group key, batch mode through the code memo and
+  // row mode through the chain walk: each row that finds its group
+  // charges one comparison, also when its chain holds a full-hash
+  // collision ahead of it.
+  std::string collide;
+  if (!testing::MakeCollidingString("a", &collide)) {
+    GTEST_SKIP() << "std::hash<std::string> is not libstdc++'s here";
+  }
+  Schema schema({Field("s", ValueType::kString, 8)});
+  Table* t = catalog_.CreateTable("dict_agg", schema).value();
+  const std::string vals[] = {"a", collide, "b", "a", collide,
+                              "a", "b",     "a", collide};
+  for (const std::string& v : vals) {
+    ASSERT_TRUE(t->AppendRow({Value::Str(v)}).ok());
+  }
+  ASSERT_TRUE(catalog_.FinalizeLoad("dict_agg").ok());
+  ASSERT_TRUE(t->column(0).dict_encoded());
+
+  AggSpec cnt;
+  cnt.kind = AggSpec::Kind::kCount;
+  cnt.name = "n";
+  for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
+    ctx_.ResetStats();
+    PlanNodePtr agg = MakeAggregate(
+        Scan("dict_agg"), {Col(0, ValueType::kString, "s")}, {cnt});
+    auto rows = ExecutePlan(*agg, &ctx_, mode);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows.value().size(), 3u) << ToString(mode);
+    EXPECT_EQ(ctx_.stats().comparisons, 9u - 3u) << ToString(mode);
   }
 }
 

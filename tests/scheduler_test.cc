@@ -16,6 +16,7 @@
 
 #include "ecodb/core/scheduler.h"
 #include "ecodb/ecodb.h"
+#include "ecodb/exec/query_task.h"
 #include "test_util.h"
 
 namespace ecodb {
@@ -184,6 +185,37 @@ TEST(SchedulerTest, CompletedRowsMatchSoloRunsUnderFaultsAndMerging) {
         << "query " << i << " (merged=" << out.merged
         << ", attempts=" << out.attempts << ")";
   }
+}
+
+// --- One drain: a scheduled query reports what a solo run reports ---
+
+TEST(SchedulerTest, QueryTaskReportsDictDedupCountersLikeExecutePlanQuery) {
+  // QueryTask (the scheduler's unit of work) and ExecutePlanQuery drive
+  // the same ResultDrain, so a string-result query's result-surface dedup
+  // counters agree, as do the rows and every logical-work counter.
+  auto db = testing::MakeTestDb();
+  ASSERT_NE(db, nullptr);
+  auto plan = db->PlanSql(
+      "SELECT n_name, r_name FROM nation, region "
+      "WHERE n_regionkey < r_regionkey");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto solo = db->ExecutePlanQuery(*plan.value());
+  ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+  const QueryExecStats& want = solo.value().exec_stats;
+  ASSERT_GT(want.dict_dedup_hits + want.dict_dedup_misses, 0u);
+
+  QueryTask task(plan.value().get(), db->MakeExecContext(),
+                 db->options().exec_mode);
+  while (task.Step() == QueryTask::State::kRunning) {
+  }
+  ASSERT_EQ(task.state(), QueryTask::State::kDone)
+      << task.status().ToString();
+  EXPECT_EQ(task.stats().dict_dedup_hits, want.dict_dedup_hits);
+  EXPECT_EQ(task.stats().dict_dedup_misses, want.dict_dedup_misses);
+  EXPECT_EQ(task.stats().tuples_output, want.tuples_output);
+  EXPECT_EQ(task.stats().sort_compares, want.sort_compares);
+  EXPECT_EQ(task.stats().comparisons, want.comparisons);
+  EXPECT_TRUE(RowsEqual(task.TakeResult().TakeRows(), solo.value().rows()));
 }
 
 // --- Retry layer: low transient rate completes every admitted query ---

@@ -3,7 +3,10 @@
 #ifndef ECODB_TESTS_TEST_UTIL_H_
 #define ECODB_TESTS_TEST_UTIL_H_
 
+#include <cstring>
+#include <functional>
 #include <memory>
+#include <string>
 
 #include "ecodb/ecodb.h"
 
@@ -61,6 +64,31 @@ inline bool MakeCollidingKeyPair(Row* key1, Row* key2) {
   if (Value::Int(b2).Hash() != needed_hash) return false;
   *key1 = Row{Value::Int(a1), Value::Int(b1)};
   *key2 = Row{Value::Int(a2), Value::Int(b2)};
+  return true;
+}
+
+/// Constructs an 8-byte string whose std::hash equals that of `base` (a
+/// different string), by inverting libstdc++'s 64-bit _Hash_bytes for one
+/// aligned 8-byte block. Returns false when the standard library hashes
+/// strings differently (callers should GTEST_SKIP). Used to put two
+/// dictionary strings in one hash-table chain.
+inline bool MakeCollidingString(const std::string& base, std::string* out) {
+  if (base.size() == 8) return false;  // the result must differ from base
+  const uint64_t mul = (uint64_t{0xc6a4a793} << 32) + 0x5bd1e995;
+  uint64_t inv = mul;  // Newton iteration for mul^-1 mod 2^64
+  for (int i = 0; i < 6; ++i) inv *= 2 - mul * inv;
+  const auto shift_mix = [](uint64_t v) { return v ^ (v >> 47); };
+  // Forward: h = seed ^ (8 * mul); h = (h ^ data) * mul, with data =
+  // shift_mix(block * mul) * mul; then shift_mix(shift_mix(h) * mul).
+  // shift_mix is its own inverse, so every step runs backwards.
+  const uint64_t target = std::hash<std::string>{}(base);
+  const uint64_t h = shift_mix(shift_mix(target) * inv);
+  const uint64_t data = (h * inv) ^ (uint64_t{0xc70f6907} ^ (8 * mul));
+  const uint64_t block = shift_mix(data * inv) * inv;
+  std::string s(8, '\0');
+  std::memcpy(&s[0], &block, 8);
+  if (std::hash<std::string>{}(s) != target) return false;
+  *out = std::move(s);
   return true;
 }
 
