@@ -4,7 +4,8 @@
 //
 // Emits machine-readable JSON on stdout so successive PRs can track the
 // perf trajectory (redirect to BENCH_micro_engine.json). Per benchmark and
-// mode: host rows/sec through the pipeline, host seconds per query, and
+// mode: host rows/sec through the pipeline, the median host seconds per
+// query with its interquartile range over the timed iterations, and
 // the *simulated* seconds and joules per query — which must agree between
 // modes (the parity suite enforces < 0.1%).
 //
@@ -18,12 +19,31 @@
 
 #include "bench_util.h"
 #include "ecodb/ecodb.h"
+#include "ecodb/util/stats.h"
 
 namespace ecodb::bench {
 namespace {
 
+/// Median and interquartile range (nearest-rank quartiles) of the timed
+/// iterations, in seconds.
+struct WallStats {
+  double median = 0;
+  double iqr = 0;
+  int iters = 0;
+};
+
+WallStats SummarizeWalls(const std::vector<double>& walls) {
+  WallStats w;
+  w.median = Median(walls);
+  w.iqr = Percentile(walls, 75) - Percentile(walls, 25);
+  w.iters = static_cast<int>(walls.size());
+  return w;
+}
+
 struct ModeResult {
-  double wall_seconds_per_iter = 0;
+  double wall_seconds_per_iter = 0;  ///< median
+  double wall_seconds_iqr = 0;
+  int iters = 0;
   double rows_per_sec = 0;
   uint64_t rows_scanned = 0;
   size_t result_rows = 0;
@@ -218,14 +238,14 @@ Result<PlanNodePtr> BuildScanFilterAgg(const Catalog& catalog) {
 }
 
 ModeResult RunPlan(Database* db, const PlanNode& plan) {
-  // Warm once, then time iterations until we have a stable best-of run.
+  // Time iterations until both the iteration floor and the time budget
+  // are met; report the median and IQR of the wall times.
   ModeResult out;
-  double best = 1e100;
-  const int kMinIters = 3;
+  const size_t kMinIters = 3;
   const double kMinTotalSeconds = 0.25;
   double total = 0;
-  int iters = 0;
-  while (iters < kMinIters || total < kMinTotalSeconds) {
+  std::vector<double> walls;
+  while (walls.size() < kMinIters || total < kMinTotalSeconds) {
     auto t0 = std::chrono::steady_clock::now();
     auto res = db->ExecutePlanQuery(plan);
     auto t1 = std::chrono::steady_clock::now();
@@ -236,29 +256,29 @@ ModeResult RunPlan(Database* db, const PlanNode& plan) {
     }
     double wall = std::chrono::duration<double>(t1 - t0).count();
     total += wall;
-    ++iters;
-    if (wall < best) {
-      best = wall;
-      out.rows_scanned = res.value().exec_stats.tuples_scanned;
-      out.result_rows = res.value().num_rows();
-      out.sim_seconds = res.value().seconds;
-      out.sim_joules = res.value().wall_joules;
-    }
-    if (iters > 200) break;
+    walls.push_back(wall);
+    out.rows_scanned = res.value().exec_stats.tuples_scanned;
+    out.result_rows = res.value().num_rows();
+    out.sim_seconds = res.value().seconds;
+    out.sim_joules = res.value().wall_joules;
+    if (walls.size() > 200) break;
   }
-  out.wall_seconds_per_iter = best;
+  const WallStats w = SummarizeWalls(walls);
+  out.wall_seconds_per_iter = w.median;
+  out.wall_seconds_iqr = w.iqr;
+  out.iters = w.iters;
   out.rows_per_sec =
-      best > 0 ? static_cast<double>(out.rows_scanned) / best : 0;
+      w.median > 0 ? static_cast<double>(out.rows_scanned) / w.median : 0;
   return out;
 }
 
-/// Times a host-side closure (no simulated execution): best-of wall
-/// seconds per iteration. The closure is sampled in inner batches sized
+/// Times a host-side closure (no simulated execution): median and IQR of
+/// wall seconds per call. The closure is sampled in inner batches sized
 /// so each sample is well above clock resolution/overhead (planner ops
 /// run in the microsecond range), and sampling continues until the same
 /// 0.25s budget as RunPlan is spent.
 template <typename Fn>
-double TimeHostOp(Fn&& fn) {
+WallStats TimeHostOp(Fn&& fn) {
   // Calibrate the inner-batch size: target ~2ms per sample.
   auto sample = [&](int calls) {
     auto t0 = std::chrono::steady_clock::now();
@@ -272,27 +292,29 @@ double TimeHostOp(Fn&& fn) {
     batch *= 2;
     wall = sample(batch);
   }
-  double best = wall / batch;
+  std::vector<double> per_call = {wall / batch};
   const int kMinSamples = 3;
   const double kMinTotalSeconds = 0.25;
   double total = wall;
   for (int s = 1; s < kMinSamples || total < kMinTotalSeconds; ++s) {
     wall = sample(batch);
     total += wall;
-    if (wall / batch < best) best = wall / batch;
+    per_call.push_back(wall / batch);
     if (s > 500) break;
   }
-  return best;
+  return SummarizeWalls(per_call);
 }
 
 void EmitMode(const char* name, const char* mode, const ModeResult& r,
               bool trailing_comma) {
   std::printf(
       "    {\"name\": \"%s\", \"mode\": \"%s\", "
-      "\"wall_seconds_per_iter\": %.6e, \"rows_per_sec\": %.6e, "
+      "\"wall_seconds_per_iter\": %.6e, \"wall_seconds_iqr\": %.6e, "
+      "\"iters\": %d, \"rows_per_sec\": %.6e, "
       "\"rows_scanned\": %llu, \"result_rows\": %zu, "
       "\"sim_seconds\": %.9e, \"sim_joules_per_query\": %.9e}%s\n",
-      name, mode, r.wall_seconds_per_iter, r.rows_per_sec,
+      name, mode, r.wall_seconds_per_iter, r.wall_seconds_iqr, r.iters,
+      r.rows_per_sec,
       static_cast<unsigned long long>(r.rows_scanned), r.result_rows,
       r.sim_seconds, r.sim_joules, trailing_comma ? "," : "");
 }
@@ -486,12 +508,14 @@ int Main(int argc, char** argv) {
                   wi + 1 == std::size(kWorkerCounts);
       std::printf(
           "    {\"name\": \"%s\", \"workers\": %d, "
-          "\"wall_seconds_per_iter\": %.6e, \"rows_per_sec\": %.6e, "
+          "\"wall_seconds_per_iter\": %.6e, \"wall_seconds_iqr\": %.6e, "
+          "\"rows_per_sec\": %.6e, "
           "\"sim_seconds\": %.9e, \"sim_joules_per_query\": %.9e, "
           "\"speedup_vs_batch\": %.2f, \"sim_makespan_s\": %.9e, "
           "\"sim_core_speedup\": %.2f, \"phases\": [",
           name.c_str(), kWorkerCounts[wi], r.wall_seconds_per_iter,
-          r.rows_per_sec, r.sim_seconds, r.sim_joules, host_speedup,
+          r.wall_seconds_iqr, r.rows_per_sec, r.sim_seconds, r.sim_joules,
+          host_speedup,
           ph.makespan_s, sim_speedup);
       for (size_t pi = 0; pi < phase_aggs.size(); ++pi) {
         ParallelPhaseSummary ps =
@@ -524,7 +548,7 @@ int Main(int argc, char** argv) {
   // have no row/batch modes: each times a host-side operation only.
   struct HostBench {
     std::string name;
-    double secs = 0;
+    WallStats secs;
   };
   std::vector<HostBench> host;
   {
@@ -574,9 +598,11 @@ int Main(int argc, char** argv) {
   for (size_t i = 0; i < host.size(); ++i) {
     std::printf(
         "    {\"name\": \"%s\", \"wall_seconds_per_iter\": %.6e, "
+        "\"wall_seconds_iqr\": %.6e, \"samples\": %d, "
         "\"iters_per_sec\": %.6e}%s\n",
-        host[i].name.c_str(), host[i].secs,
-        host[i].secs > 0 ? 1.0 / host[i].secs : 0.0,
+        host[i].name.c_str(), host[i].secs.median, host[i].secs.iqr,
+        host[i].secs.iters,
+        host[i].secs.median > 0 ? 1.0 / host[i].secs.median : 0.0,
         i + 1 < host.size() ? "," : "");
   }
 

@@ -1427,8 +1427,8 @@ SortOp::SortOp(ExecContext* ctx, OperatorPtr child, std::vector<SortKey> keys)
 Status SortOp::Open() {
   ECODB_RETURN_NOT_OK(child_->Open());
   rows_.clear();
-  ctx_->memory_tracker()->Release(row_pool_bytes_);
-  row_pool_bytes_ = 0;
+  ctx_->memory_tracker()->Release(pool_bytes_);
+  pool_bytes_ = 0;
   order_.clear();
   n_rows_ = 0;
   pos_ = 0;
@@ -1457,7 +1457,7 @@ Status SortOp::ConsumeChildRowMode() {
     if (!has) break;
     const uint64_t b = LogicalRowBytes(row);
     ctx_->memory_tracker()->Charge(b);
-    row_pool_bytes_ += b;
+    pool_bytes_ += b;
     rows_.push_back(std::move(row));
     row = Row();
   }
@@ -1687,10 +1687,31 @@ Status SortOp::NextBatchCapped(RowBatch* out, bool* has_rows,
   return Status::OK();
 }
 
+bool SortOp::TakeEmission(std::vector<TypedColumn>* columns, size_t* rows) {
+  if (!columnar_ || pos_ != 0) return false;
+  // Permute one column at a time, so the sorted copy of a column replaces
+  // the unsorted one before the next column is touched. The bytes the
+  // columns stop charging are re-charged here and released at Close, as
+  // the gather path's pool is.
+  MemoryTracker* tracker = ctx_->memory_tracker();
+  for (TypedColumn& c : cols_) {
+    c.Permute(order_);
+    const uint64_t bytes = c.DetachMemoryTracker();
+    tracker->Charge(bytes);
+    pool_bytes_ += bytes;
+  }
+  *columns = std::move(cols_);
+  cols_.clear();
+  *rows = n_rows_;
+  std::vector<uint32_t>().swap(order_);
+  pos_ = n_rows_;  // end of stream
+  return true;
+}
+
 void SortOp::Close() {
   rows_.clear();
-  ctx_->memory_tracker()->Release(row_pool_bytes_);
-  row_pool_bytes_ = 0;
+  ctx_->memory_tracker()->Release(pool_bytes_);
+  pool_bytes_ = 0;
   cols_.clear();      // TypedColumn destructors release their tracked bytes
   key_cols_.clear();  // (already cleared after the sort on the normal path)
   key_code_vals_.clear();
@@ -1796,7 +1817,16 @@ void LimitOp::Close() {
 // --- ResultDrain / ExecuteOperatorColumnar / ExecuteOperator ---
 
 ResultDrain::ResultDrain(Operator* op, ExecContext* ctx)
-    : op_(op), ctx_(ctx), set_(op->schema()), width_(op->schema().RowWidth()) {}
+    : op_(op), ctx_(ctx), set_(op->schema()), width_(op->schema().RowWidth()) {
+  std::vector<TypedColumn> columns;
+  size_t rows = 0;
+  if (ctx_->exec_mode() == ExecMode::kBatch &&
+      op_->TakeEmission(&columns, &rows)) {
+    set_.Adopt(std::move(columns), rows);
+    adopted_ = true;
+    adopted_left_ = rows;
+  }
+}
 
 void ResultDrain::ChargeRows(uint64_t n) {
   ctx_->ChargeOutputTuples(n, width_);
@@ -1810,6 +1840,18 @@ Status ResultDrain::Pull(bool* done) {
   bool has = false;
   if (ctx_->exec_mode() == ExecMode::kBatch) {
     ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
+    if (adopted_) {
+      // The rows are already in set_: charge the chunk the root would
+      // have emitted as one batch.
+      const size_t chunk =
+          std::min(adopted_left_, RowBatch::kDefaultBatchRows);
+      *done = chunk == 0;
+      if (!*done) {
+        ChargeRows(chunk);
+        adopted_left_ -= chunk;
+      }
+      return Status::OK();
+    }
     ECODB_RETURN_NOT_OK(op_->NextBatch(&batch_, &has));
     *done = !has;
     if (has) {

@@ -59,6 +59,17 @@ class Operator {
   /// child's answer (its own emission adds no charges).
   virtual bool MaterializedEmission() const { return false; }
 
+  /// Hands the operator's whole emission over as materialized columns
+  /// (`*rows` rows each, in emission order, no memory tracker attached)
+  /// instead of serving it through pulls; afterwards the operator is at
+  /// end of stream. Only the root of a batch-mode drain asks
+  /// (ResultDrain), and only before its first pull. Returns false, the
+  /// default, when the operator has no such columns.
+  virtual bool TakeEmission(std::vector<TypedColumn>* /*columns*/,
+                            size_t* /*rows*/) {
+    return false;
+  }
+
   virtual void Close() = 0;
   virtual const Schema& schema() const = 0;
   virtual std::string name() const = 0;
@@ -387,6 +398,12 @@ class HashAggOp : public Operator {
 /// operator's arenas, retained by each emitted batch). Both modes charge
 /// the same key evaluations and ExecContext::ChargeSort on the row count,
 /// so how std::sort reaches the order never shows in the counters.
+///
+/// At the root of a batch-mode drain the columns are not gathered at all:
+/// TakeEmission permutes them into sorted order in place and hands them
+/// to the ResultSet, so the sorted input exists once. Their logical bytes
+/// stay charged to the query until Close, exactly as the gather path's
+/// pool would.
 class SortOp : public Operator {
  public:
   SortOp(ExecContext* ctx, OperatorPtr child, std::vector<SortKey> keys);
@@ -397,6 +414,7 @@ class SortOp : public Operator {
   Status NextBatchCapped(RowBatch* out, bool* has_rows,
                          size_t max_rows) override;
   bool MaterializedEmission() const override { return true; }
+  bool TakeEmission(std::vector<TypedColumn>* columns, size_t* rows) override;
   void Close() override;
   const Schema& schema() const override { return child_->schema(); }
   std::string name() const override { return "Sort"; }
@@ -412,7 +430,9 @@ class SortOp : public Operator {
 
   // Row-mode storage: materialized rows, rearranged into sorted order.
   std::vector<Row> rows_;
-  uint64_t row_pool_bytes_ = 0;  ///< tracked logical bytes of rows_
+  /// Logical bytes charged for rows_, or for the columns TakeEmission
+  /// handed off; released at Close.
+  uint64_t pool_bytes_ = 0;
 
   // Batch-mode storage: the input as typed columns, the evaluated sort
   // keys as typed columns, and the sorted permutation of [0, n_rows_).
@@ -472,6 +492,13 @@ class LimitOp : public Operator {
 /// result against the query's memory budget (logical schema width per
 /// row, identical across modes; the charge is dropped once the result is
 /// handed over — the result outlives the query's tracker).
+///
+/// In batch mode the drain first offers the root TakeEmission; when it
+/// hands its columns over, the ResultSet adopts them and each Pull only
+/// replays what a batch pull would have done: one governor check and the
+/// charges of up to RowBatch::kDefaultBatchRows rows, then a final empty
+/// Pull. Counters, governor trips and scheduler steps land where the
+/// pulled path puts them.
 class ResultDrain {
  public:
   /// `op` must be open (schemas bind at Open); pulls in ctx's exec mode.
@@ -499,6 +526,8 @@ class ResultDrain {
   uint64_t result_bytes_ = 0;
   RowBatch batch_;
   Row row_;
+  bool adopted_ = false;    ///< set_ holds the root's handed-off columns
+  size_t adopted_left_ = 0;  ///< adopted rows not yet charged
 };
 
 /// Drains an operator tree: Open, Next/NextBatch..., Close, charging

@@ -122,6 +122,18 @@ void ResultSet::AppendRow(const Row& row) {
   row_view_built_ = false;
 }
 
+void ResultSet::Adopt(std::vector<TypedColumn> columns, size_t rows) {
+  assert(num_rows_ == 0 && "Adopt replaces an empty result only");
+  assert(columns.size() == cols_.size() && "adopted/schema arity mismatch");
+  for (size_t c = 0; c < columns.size(); ++c) {
+    assert(columns[c].size() == rows && "adopted column length mismatch");
+    assert(columns[c].type() == cols_[c].type() && "adopted type mismatch");
+  }
+  cols_ = std::move(columns);
+  num_rows_ = rows;
+  row_view_built_ = false;
+}
+
 Row ResultSet::RowAt(size_t row) const {
   Row out;
   out.reserve(cols_.size());

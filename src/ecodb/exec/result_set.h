@@ -28,7 +28,11 @@
 //     never dropped while the catalog lives);
 //  3. the column's own arena, for payloads that had to be copied
 //     (transient boxed Values, pool-backed lanes) — deduplicated through
-//     the arena's small dictionary for low-cardinality columns.
+//     the arena's small dictionary for low-cardinality columns;
+//  4. adopted columns (Adopt): a root sort's permuted TypedColumns,
+//     moved in whole with their own arenas and every arena they retained
+//     (their strings were copied or borrowed under 1-3 at the sort's
+//     consume), tracker detached — no cell is copied a second time.
 //
 // A ResultSet is therefore safe to hold after the operator tree is gone,
 // and — like every other string borrower — must not outlive the Database
@@ -69,6 +73,11 @@ class ResultSet {
 
   /// Appends one boxed row through the same typed columns (row mode).
   void AppendRow(const Row& row);
+
+  /// Takes `columns` (`rows` rows each, declared types matching the
+  /// schema, no memory tracker attached) as the whole result, in place of
+  /// appending. Only legal on an empty ResultSet.
+  void Adopt(std::vector<TypedColumn> columns, size_t rows);
 
   /// Unboxed view of one cell (no allocation).
   CellView At(size_t row, int col) const {

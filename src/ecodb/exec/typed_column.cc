@@ -1,5 +1,6 @@
 #include "ecodb/exec/typed_column.h"
 
+#include <cassert>
 #include <utility>
 
 #include "ecodb/exec/query_governor.h"
@@ -85,6 +86,7 @@ void TypedColumn::Demote() {
   str_.reset();
   retained_.clear();
   nulls_.clear();
+  has_nulls_ = false;  // boxed cells carry their own nulls
   boxed_ = true;
   // Re-derive the charge from the boxed cells: the arena just released
   // its payload bytes, and borrowed-payload charges no longer apply.
@@ -141,6 +143,36 @@ void TypedColumn::GatherInto(RowBatch* out, int out_col,
   for (size_t i = 0; i < n; ++i) dst.push_back(GetValue(indices[i]));
 }
 
+namespace {
+
+template <typename T>
+void PermuteVector(std::vector<T>* v, const std::vector<uint32_t>& order) {
+  if (v->empty()) return;
+  std::vector<T> out;
+  out.reserve(order.size());
+  for (uint32_t i : order) out.push_back(std::move((*v)[i]));
+  v->swap(out);  // the old storage dies with `out`
+}
+
+}  // namespace
+
+void TypedColumn::Permute(const std::vector<uint32_t>& order) {
+  assert(order.size() == size_ && "Permute needs a permutation of the rows");
+  PermuteVector(&i64_, order);
+  PermuteVector(&f64_, order);
+  PermuteVector(&strp_, order);
+  PermuteVector(&nulls_, order);
+  PermuteVector(&vals_, order);
+}
+
+uint64_t TypedColumn::DetachMemoryTracker() {
+  uint64_t released = tracked_bytes_;  // nonzero only while tracked
+  TrackReleaseAll();
+  tracker_ = nullptr;
+  if (str_ != nullptr) released += str_->DetachMemoryTracker();
+  return released;
+}
+
 void TypedColumn::AppendImpl(const CellView& v, bool stable_str) {
   if (!boxed_ && v.type != type_ && v.type != ValueType::kNull) {
     // Exact-tag mismatch with the declared type: typed storage could not
@@ -154,8 +186,11 @@ void TypedColumn::AppendImpl(const CellView& v, bool stable_str) {
     return;
   }
   const bool null = v.type == ValueType::kNull;
-  if (null) has_nulls_ = true;
-  nulls_.push_back(null ? 1 : 0);
+  if (null && !has_nulls_) {
+    nulls_.assign(size_, 0);  // first null: backfill the mask
+    has_nulls_ = true;
+  }
+  if (has_nulls_) nulls_.push_back(null ? 1 : 0);
   switch (RowBatch::LaneKindFor(type_)) {
     case RowBatch::LaneKind::kInt64:
       i64_.push_back(null ? 0 : v.i);

@@ -1,10 +1,11 @@
 // TypedColumn: one column of a contiguous column-major pool — the hash
 // join's build side, SortOp's materialized input, HashAgg's result
 // columns and the ResultSet's storage all use it. Cells are stored
-// *typed* (raw int64 / double / string pointers plus a byte null mask)
-// while every appended cell's exact type tag matches the declared schema
-// type; the first mismatching cell demotes the column to boxed Values so
-// that round-tripping a cell through the pool is always bit-exact.
+// *typed* (raw int64 / double / string pointers plus a byte null mask,
+// allocated only once the first null arrives) while every appended
+// cell's exact type tag matches the declared schema type; the first
+// mismatching cell demotes the column to boxed Values so that
+// round-tripping a cell through the pool is always bit-exact.
 //
 // String cells are one `const std::string*` per row. The pointee is
 // either (a) bytes this column interned into its own refcounted arena
@@ -87,20 +88,20 @@ class TypedColumn {
   /// unboxed and the value matches the declared type's storage class
   /// (callers check boxed() and type() once per run).
   void AppendNonNullInt64(int64_t v) {
-    nulls_.push_back(0);
+    if (has_nulls_) nulls_.push_back(0);
     i64_.push_back(v);
     ++size_;
     TrackCharge(8);
   }
   void AppendNonNullDouble(double v) {
-    nulls_.push_back(0);
+    if (has_nulls_) nulls_.push_back(0);
     f64_.push_back(v);
     ++size_;
     TrackCharge(8);
   }
   /// Copy form: interns the bytes into this column's arena.
   void AppendNonNullString(const std::string& v) {
-    nulls_.push_back(0);
+    if (has_nulls_) nulls_.push_back(0);
     strp_.push_back(dict_dedup_ ? str_->InternDedup(v) : str_->Intern(v));
     ++size_;
     TrackCharge(8);  // payload charged by the arena's tracker
@@ -108,7 +109,7 @@ class TypedColumn {
   /// Borrow form: stores the pointer; the caller guarantees stability
   /// (table storage, or arenas retained via RetainStorageOf).
   void AppendNonNullStringPtr(const std::string* v) {
-    nulls_.push_back(0);
+    if (has_nulls_) nulls_.push_back(0);
     strp_.push_back(v);
     ++size_;
     TrackCharge(8 + v->size());  // borrowed payload never hits our arena
@@ -140,6 +141,18 @@ class TypedColumn {
   void GatherInto(RowBatch* out, int out_col, const uint32_t* indices,
                   size_t n) const;
 
+  /// Rearranges the rows so that new row i is old row order[i]; `order`
+  /// must be a permutation of [0, size()). Each storage vector is
+  /// rebuilt at exact size and the old one freed before the next, so the
+  /// extra footprint is one vector, never a second copy of the column.
+  void Permute(const std::vector<uint32_t>& order);
+
+  /// Ends logical-byte accounting for good: releases everything this
+  /// column and its own arena charged and forgets the tracker, so the
+  /// column may outlive it (a ResultSet adopting it). Returns the bytes
+  /// released.
+  uint64_t DetachMemoryTracker();
+
   ValueType type() const { return type_; }
   uint32_t size() const { return size_; }
   bool boxed() const { return boxed_; }
@@ -152,7 +165,6 @@ class TypedColumn {
   const std::vector<StringArenaPtr>& retained_arenas() const {
     return retained_;
   }
-  bool IsNullAt(uint32_t idx) const { return has_nulls_ && nulls_[idx]; }
 
  private:
   void AppendImpl(const CellView& v, bool stable_str);
@@ -195,7 +207,7 @@ class TypedColumn {
   std::vector<const std::string*> strp_;  ///< one pointer per row
   StringArenaPtr str_;                    ///< owned (interned) bytes
   std::vector<StringArenaPtr> retained_;  ///< borrowed bytes kept alive
-  std::vector<uint8_t> nulls_;
+  std::vector<uint8_t> nulls_;  ///< empty until the first null
   std::vector<Value> vals_;  ///< boxed fallback
   MemoryTracker* tracker_ = nullptr;
   uint64_t tracked_bytes_ = 0;  ///< column-side charges (excludes arena's)

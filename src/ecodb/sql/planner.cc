@@ -89,6 +89,12 @@ class Planner {
   Result<PlanNodePtr> ApplyResidual(PlanNodePtr plan);
   Result<PlanNodePtr> ApplyAggregation(PlanNodePtr plan);
   Result<PlanNodePtr> ApplyOrderLimit(PlanNodePtr plan);
+  /// Binds the ORDER BY keys over `output`, the final plan's schema. With
+  /// `project` (a plain SELECT's final projection) they bind below it
+  /// instead: output columns become their projection expressions and any
+  /// other key binds over the projection's input.
+  Result<std::vector<SortKey>> BindOrderKeys(const Schema& output,
+                                             const PlanNode* project) const;
 
   const SelectStatement& stmt_;
   const Catalog& catalog_;
@@ -402,44 +408,67 @@ Result<PlanNodePtr> Planner::ApplyAggregation(PlanNodePtr plan) {
                      std::move(names));
 }
 
+Result<std::vector<SortKey>> Planner::BindOrderKeys(
+    const Schema& output, const PlanNode* project) const {
+  std::vector<SortKey> keys;
+  for (const OrderItem& item : stmt_.order_by) {
+    SortKey key;
+    key.ascending = item.ascending;
+    // Resolve: 1-based select-list position, output column/alias name,
+    // select-item text, or scalar expression.
+    std::string text = item.expr->ToString();
+    int idx = -1;
+    if (item.expr->kind == AstKind::kIntLit) {
+      const int64_t pos = item.expr->int_value;
+      if (pos < 1 || pos > output.num_fields()) {
+        return Status::ParseError(StrFormat(
+            "ORDER BY position %lld is not in the select list (1..%d)",
+            static_cast<long long>(pos), output.num_fields()));
+      }
+      idx = static_cast<int>(pos - 1);
+    } else if (item.expr->kind == AstKind::kColumn) {
+      idx = output.FindField(item.expr->name);
+    }
+    if (idx < 0) {
+      for (size_t i = 0; i < item_keys_.size(); ++i) {
+        if (item_keys_[i] == text) {
+          idx = static_cast<int>(i);
+          break;
+        }
+      }
+    }
+    if (idx >= 0 && project != nullptr) {
+      key.expr = project->exprs[static_cast<size_t>(idx)];
+    } else if (idx >= 0) {
+      key.expr = Col(idx, output.field(idx).type, output.field(idx).name);
+    } else {
+      const Schema& scope =
+          project != nullptr ? project->children[0]->output_schema : output;
+      ECODB_ASSIGN_OR_RETURN(key.expr, BindScalar(*item.expr, scope));
+    }
+    keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
 Result<PlanNodePtr> Planner::ApplyOrderLimit(PlanNodePtr plan) {
   if (!stmt_.order_by.empty()) {
-    const Schema& schema = plan->output_schema;
-    std::vector<SortKey> keys;
-    for (const OrderItem& item : stmt_.order_by) {
-      SortKey key;
-      key.ascending = item.ascending;
-      // Resolve: 1-based select-list position, output column/alias name,
-      // select-item text, or scalar expression over the output schema.
-      std::string text = item.expr->ToString();
-      int idx = -1;
-      if (item.expr->kind == AstKind::kIntLit) {
-        const int64_t pos = item.expr->int_value;
-        if (pos < 1 || pos > schema.num_fields()) {
-          return Status::ParseError(StrFormat(
-              "ORDER BY position %lld is not in the select list (1..%d)",
-              static_cast<long long>(pos), schema.num_fields()));
-        }
-        idx = static_cast<int>(pos - 1);
-      } else if (item.expr->kind == AstKind::kColumn) {
-        idx = schema.FindField(item.expr->name);
-      }
-      if (idx < 0) {
-        for (size_t i = 0; i < item_keys_.size(); ++i) {
-          if (item_keys_[i] == text) {
-            idx = static_cast<int>(i);
-            break;
-          }
-        }
-      }
-      if (idx >= 0) {
-        key.expr = Col(idx, schema.field(idx).type, schema.field(idx).name);
-      } else {
-        ECODB_ASSIGN_OR_RETURN(key.expr, BindScalar(*item.expr, schema));
-      }
-      keys.push_back(std::move(key));
+    Result<std::vector<SortKey>> keys =
+        BindOrderKeys(plan->output_schema, nullptr);
+    if (keys.ok()) {
+      plan = MakeSort(std::move(plan), std::move(keys).value());
+    } else if (!aggregated_ && plan->kind == PlanKind::kProject) {
+      // A plain SELECT ordered by a column it does not project: sort
+      // under the final projection, where every input column binds.
+      ECODB_ASSIGN_OR_RETURN(std::vector<SortKey> below,
+                             BindOrderKeys(plan->output_schema, plan.get()));
+      PlanNode& project = *plan;
+      plan = MakeProject(
+          MakeSort(std::move(project.children[0]), std::move(below)),
+          std::move(project.exprs), std::move(project.names));
+    } else {
+      return keys.status();
     }
-    plan = MakeSort(std::move(plan), std::move(keys));
   }
   if (stmt_.limit >= 0) {
     plan = MakeLimit(std::move(plan), stmt_.limit);

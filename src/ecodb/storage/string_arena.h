@@ -109,13 +109,16 @@ class StringArena {
   /// touches the tracker again.
   void set_memory_tracker(MemoryTracker* tracker) { tracker_ = tracker; }
 
-  /// Releases everything this arena charged and forgets the tracker.
-  void DetachMemoryTracker() {
+  /// Releases everything this arena charged and forgets the tracker;
+  /// returns the bytes released.
+  uint64_t DetachMemoryTracker() {
+    const uint64_t released = tracked_bytes_;  // nonzero only while tracked
     if (tracker_ != nullptr) {
       tracker_->Release(tracked_bytes_);
       tracker_ = nullptr;
     }
     tracked_bytes_ = 0;
+    return released;
   }
 
  private:

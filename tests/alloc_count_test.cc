@@ -9,8 +9,13 @@
 // allocation per batch-node. Structures that legitimately grow with data
 // (hash-table slots, result rows, first-batch capacity) are covered by
 // the generous-but-sublinear slack.
+//
+// The same operator new/delete also track live heap bytes (usable size
+// of every block) and their high-water mark, which pins how many copies
+// of a result a drain holds at once.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -21,19 +26,36 @@
 
 namespace {
 std::atomic<uint64_t> g_alloc_count{0};
+std::atomic<uint64_t> g_live_bytes{0};
+std::atomic<uint64_t> g_peak_bytes{0};
+
+void FreeTracked(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
+  const uint64_t live =
+      g_live_bytes.fetch_add(malloc_usable_size(p),
+                             std::memory_order_relaxed) +
+      malloc_usable_size(p);
+  uint64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+  while (live > peak &&
+         !g_peak_bytes.compare_exchange_weak(peak, live,
+                                             std::memory_order_relaxed)) {
+  }
   return p;
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { FreeTracked(p); }
+void operator delete[](void* p) noexcept { FreeTracked(p); }
+void operator delete(void* p, std::size_t) noexcept { FreeTracked(p); }
+void operator delete[](void* p, std::size_t) noexcept { FreeTracked(p); }
 
 namespace ecodb {
 namespace {
@@ -241,6 +263,42 @@ TEST(AllocCountTest, ScanFilterAggAllocationsScaleWithOperatorsNotBatches) {
   // should sit in the low hundreds of allocations total (plan
   // instantiation, per-query operator state, a handful of result rows).
   EXPECT_LE(large_allocs, 600u) << "large=" << large_allocs;
+}
+
+TEST(AllocCountTest, SortedResultIsMaterializedOnce) {
+  // SELECT * FROM lineitem ORDER BY l_extendedprice: the sort's typed
+  // columns become the result's, so the drain's heap high-water mark sits
+  // about one copy of the table (8 B per cell) above the pre-query
+  // baseline. Gathering into batches and copying into fresh result
+  // columns held two copies (plus a byte-per-cell null mask each), about
+  // 2x rows x cols x 9 B.
+  auto db = testing::MakeTestDb(EngineProfile::MySqlMemory(), 0.02);
+  ASSERT_NE(db, nullptr);
+  auto scan = MakeScan(*db->catalog(), "lineitem");
+  ASSERT_TRUE(scan.ok());
+  const Schema& s = scan.value()->output_schema;
+  const int price = s.FindField("l_extendedprice");
+  ASSERT_GE(price, 0);
+  PlanNodePtr plan = MakeSort(
+      std::move(scan).value(),
+      {SortKey{Col(price, ValueType::kDouble, "l_extendedprice"), true}});
+  ASSERT_TRUE(db->ExecutePlanQuery(*plan).ok());  // warm
+
+  const uint64_t baseline = g_live_bytes.load(std::memory_order_relaxed);
+  g_peak_bytes.store(baseline, std::memory_order_relaxed);
+  auto res = db->ExecutePlanQuery(*plan);
+  const uint64_t high_water = g_peak_bytes.load(std::memory_order_relaxed);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+
+  const uint64_t rows = res.value().num_rows();
+  const uint64_t cols = static_cast<uint64_t>(s.num_fields());
+  ASSERT_GT(rows, 100000u);
+  const double one_copy = static_cast<double>(rows * cols * 9);
+  const double ratio = static_cast<double>(high_water - baseline) / one_copy;
+  std::printf("sorted drain heap high-water: %.3f x rows x cols x 9 B\n",
+              ratio);
+  EXPECT_LT(ratio, 1.3) << "high-water " << high_water - baseline
+                        << " B over baseline";
 }
 
 }  // namespace

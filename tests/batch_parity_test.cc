@@ -13,8 +13,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "ecodb/ecodb.h"
+#include "ecodb/exec/query_task.h"
 #include "test_util.h"
 
 namespace ecodb {
@@ -436,6 +438,169 @@ TEST_F(BatchParityTest, RowPullsAfterBatchPullOnMaterializedStacks) {
       2));
 }
 
+// --- Sort at the root: the ResultSet adopts the sort's columns ---
+
+/// Every counter, exactly: the adopted and the gathered drain perform the
+/// same charges in the same order, and the logical memory peak matches.
+void ExpectStatsEqual(const QueryExecStats& a, const QueryExecStats& b) {
+  EXPECT_EQ(a.tuples_scanned, b.tuples_scanned);
+  EXPECT_EQ(a.tuples_output, b.tuples_output);
+  EXPECT_EQ(a.comparisons, b.comparisons);
+  EXPECT_EQ(a.arith_ops, b.arith_ops);
+  EXPECT_EQ(a.hash_builds, b.hash_builds);
+  EXPECT_EQ(a.hash_probes, b.hash_probes);
+  EXPECT_EQ(a.agg_updates, b.agg_updates);
+  EXPECT_EQ(a.sort_compares, b.sort_compares);
+  EXPECT_EQ(a.cycles_charged, b.cycles_charged);
+  EXPECT_EQ(a.mem_lines_charged, b.mem_lines_charged);
+  EXPECT_EQ(a.spill_bytes, b.spill_bytes);
+  EXPECT_EQ(a.peak_memory_bytes, b.peak_memory_bytes);
+}
+
+TEST_F(BatchParityTest, SortTakeEmissionOnlyAtABatchModeSortBeforeAnyPull) {
+  auto take = [&](const PlanNode& plan, ExecMode mode, bool pull_first) {
+    ExecContext ctx(&machine_, &profile_, &catalog_, &pool_);
+    ctx.set_exec_mode(mode);
+    auto op = InstantiatePlan(plan, &ctx);
+    EXPECT_TRUE(op.ok()) << op.status().ToString();
+    EXPECT_TRUE(op.value()->Open().ok());
+    if (pull_first) {
+      RowBatch batch;
+      bool has = false;
+      EXPECT_TRUE(op.value()->NextBatch(&batch, &has).ok());
+    }
+    std::vector<TypedColumn> cols;
+    size_t rows = 0;
+    const bool taken = op.value()->TakeEmission(&cols, &rows);
+    if (taken) {
+      EXPECT_EQ(rows, 2500u);
+      EXPECT_EQ(cols.size(), 3u);
+      // Handed-off columns are end of stream for the operator.
+      RowBatch batch;
+      bool has = true;
+      EXPECT_TRUE(op.value()->NextBatch(&batch, &has).ok());
+      EXPECT_FALSE(has);
+    }
+    op.value()->Close();
+    return taken;
+  };
+  PlanNodePtr sort = MakeSort(Scan("big"), {SortKey{K(), false}});
+  EXPECT_TRUE(take(*sort, ExecMode::kBatch, false));
+  EXPECT_FALSE(take(*sort, ExecMode::kRow, false));
+  EXPECT_FALSE(take(*sort, ExecMode::kBatch, true));
+  EXPECT_FALSE(take(*MakeLimit(ClonePlan(*sort), 1000000), ExecMode::kBatch,
+                    false));
+  EXPECT_FALSE(take(*Scan("big"), ExecMode::kBatch, false));
+}
+
+/// Runs `sort` (a Sort root) in row mode, in batch mode (the ResultSet
+/// adopts the sort's columns) and as Limit(Sort) with a limit above the
+/// row count (batch mode gathers through the limit). All three return
+/// the same rows; the two batch runs charge exactly the same.
+class SortHandoffTest : public BatchParityTest {
+ protected:
+  ResultSet RunAll(const PlanNode& sort) {
+    EXPECT_EQ(sort.kind, PlanKind::kSort);
+    ExecContext row_ctx(&machine_, &profile_, &catalog_, &pool_);
+    auto row = ExecutePlanColumnar(sort, &row_ctx, ExecMode::kRow);
+    EXPECT_TRUE(row.ok()) << row.status().ToString();
+
+    ExecContext adopt_ctx(&machine_, &profile_, &catalog_, &pool_);
+    auto adopted = ExecutePlanColumnar(sort, &adopt_ctx, ExecMode::kBatch);
+    EXPECT_TRUE(adopted.ok()) << adopted.status().ToString();
+
+    PlanNodePtr limited = MakeLimit(ClonePlan(sort), 1000000);
+    ExecContext gather_ctx(&machine_, &profile_, &catalog_, &pool_);
+    auto gathered =
+        ExecutePlanColumnar(*limited, &gather_ctx, ExecMode::kBatch);
+    EXPECT_TRUE(gathered.ok()) << gathered.status().ToString();
+    if (!row.ok() || !adopted.ok() || !gathered.ok()) return ResultSet();
+
+    ExpectRowsEqual(row.value().rows(), adopted.value().rows());
+    ExpectRowsEqual(gathered.value().rows(), adopted.value().rows());
+    ExpectStatsParity(row_ctx.stats(), adopt_ctx.stats());
+    EXPECT_EQ(row_ctx.stats().peak_memory_bytes,
+              adopt_ctx.stats().peak_memory_bytes);
+    ExpectStatsEqual(gather_ctx.stats(), adopt_ctx.stats());
+    return std::move(adopted).value();
+  }
+};
+
+TEST_F(SortHandoffTest, EmptyInput) {
+  ResultSet res = RunAll(*MakeSort(
+      MakeFilter(Scan("big"), Cmp(CompareOp::kLt, K(), LitInt(-1))),
+      {SortKey{S(), true}}));
+  EXPECT_EQ(res.num_rows(), 0u);
+  EXPECT_EQ(res.num_cols(), 3);
+}
+
+TEST_F(SortHandoffTest, NullCarryingColumns) {
+  // NULLs from a division by zero at k == 5 reach a payload column and
+  // the key; the lazily allocated null mask must permute with the rows.
+  ExprPtr vdiv =
+      Arith(ArithOp::kDiv, V(), Arith(ArithOp::kSub, K(), LitInt(5)));
+  ResultSet res = RunAll(*MakeSort(
+      MakeProject(Scan("big"), {K(), vdiv, S()}, {"k", "vdiv", "s"}),
+      {SortKey{Col(1, ValueType::kDouble, "vdiv"), true}}));
+  ASSERT_EQ(res.num_rows(), 2500u);
+  EXPECT_TRUE(res.At(0, 1).is_null());  // NULL sorts first
+  EXPECT_EQ(res.At(0, 0).i, 5);
+  EXPECT_FALSE(res.At(1, 1).is_null());
+}
+
+TEST_F(SortHandoffTest, DemotedColumnStaysBoxed) {
+  // The projection declares k as DOUBLE but yields INT64 cells, so the
+  // sort's column for it demotes to boxed Values on the first cell; the
+  // adopted result column is that boxed column.
+  ResultSet res = RunAll(*MakeSort(
+      MakeProject(Scan("big"), {Col(0, ValueType::kDouble, "kd"), S()},
+                  {"kd", "s"}),
+      {SortKey{Col(1, ValueType::kString, "s"), true},
+       SortKey{Col(0, ValueType::kDouble, "kd"), false}}));
+  ASSERT_EQ(res.num_rows(), 2500u);
+  EXPECT_TRUE(res.col(0).boxed());
+  EXPECT_FALSE(res.col(1).boxed());
+}
+
+TEST_F(SortHandoffTest, PoolBackedStringsOutliveTheOperatorTree) {
+  // Nested-loop-join output points into the join's inner pool, which dies
+  // at its Close. The sort copies those strings into its own arenas, and
+  // the adopted result is read after ExecutePlanColumnar destroyed the
+  // tree (ASan checks every read).
+  ExprPtr pred = Eq(Col(2, ValueType::kString, "ss"),
+                    Col(5, ValueType::kString, "bs"));
+  ResultSet res = RunAll(*MakeSort(
+      MakeNestedLoopJoin(Scan("small"), Scan("big"), pred),
+      {SortKey{Col(5, ValueType::kString, "bs"), false},
+       SortKey{Col(3, ValueType::kInt64, "bk"), true}}));
+  ASSERT_GT(res.num_rows(), 0u);
+  for (size_t r = 0; r < res.num_rows(); ++r) {
+    ASSERT_EQ(*res.At(r, 2).s, *res.At(r, 5).s) << "row " << r;
+  }
+}
+
+TEST_F(SortHandoffTest, QueryTaskTakesTheSameStepsAsTheGather) {
+  // One step opens the tree, then one per batch of at most
+  // kDefaultBatchRows rows, then the final empty pull: 1 + 3 + 1 for 2500
+  // rows, whether the result adopts the sort's columns or gathers them.
+  PlanNodePtr sort = MakeSort(Scan("big"), {SortKey{S(), true}});
+  PlanNodePtr limited = MakeLimit(ClonePlan(*sort), 1000000);
+  std::vector<std::vector<Row>> results;
+  for (const PlanNode* plan : {sort.get(), limited.get()}) {
+    QueryTask task(plan,
+                   std::make_unique<ExecContext>(&machine_, &profile_,
+                                                 &catalog_, &pool_),
+                   ExecMode::kBatch);
+    int steps = 1;
+    while (task.Step() == QueryTask::State::kRunning) ++steps;
+    ASSERT_EQ(task.state(), QueryTask::State::kDone)
+        << task.status().ToString();
+    EXPECT_EQ(steps, 5);
+    results.push_back(task.TakeResult().TakeRows());
+  }
+  ExpectRowsEqual(results[0], results[1]);
+}
+
 TEST_F(BatchParityTest, ScanFilterAggPipeline) {
   AggSpec sum;
   sum.kind = AggSpec::Kind::kSum;
@@ -505,6 +670,65 @@ TEST_P(TpchBatchParityTest, AllBenchmarkQueriesMatch) {
 
 INSTANTIATE_TEST_SUITE_P(Profiles, TpchBatchParityTest,
                          ::testing::Values("mysql_memory", "commercial"));
+
+TEST(SortHandoffTpchTest, FullWidthLineitemSortMatchesRowModeAndTheGather) {
+  // A Sort(Scan lineitem) root in row mode, in batch mode (adopted
+  // columns) and under a Limit with a huge limit (batch mode, gathered),
+  // each on a fresh database so the machines start identical. The two
+  // batch drains charge the same amounts in the same order, so every
+  // counter, joule and second matches exactly; row mode charges its
+  // output per row and matches up to fp re-association, as everywhere in
+  // this suite. The results borrow table strings, so the databases
+  // outlive them.
+  std::vector<std::unique_ptr<Database>> dbs;
+  auto run = [&dbs](ExecMode mode, bool under_limit) {
+    DatabaseOptions opt;
+    opt.profile = EngineProfile::MySqlMemory();
+    opt.exec_mode = mode;
+    dbs.push_back(std::make_unique<Database>(opt));
+    Database& db = *dbs.back();
+    tpch::DbGenOptions gen;
+    gen.scale_factor = testing::kTestSf;
+    EXPECT_TRUE(db.LoadTpch(gen).ok());
+    PlanNodePtr plan = MakeScan(*db.catalog(), "lineitem").value();
+    const Schema& s = plan->output_schema;
+    const int price = s.FindField("l_extendedprice");
+    const int key = s.FindField("l_orderkey");
+    plan = MakeSort(
+        std::move(plan),
+        {SortKey{Col(price, ValueType::kDouble, "l_extendedprice"), false},
+         SortKey{Col(key, ValueType::kInt64, "l_orderkey"), true}});
+    if (under_limit) plan = MakeLimit(std::move(plan), 1000000000);
+    auto res = db.ExecutePlanQuery(*plan);
+    EXPECT_TRUE(res.ok()) << res.status().ToString();
+    return std::move(res).value();
+  };
+  const QueryResult row = run(ExecMode::kRow, false);
+  const QueryResult adopted = run(ExecMode::kBatch, false);
+  const QueryResult gathered = run(ExecMode::kBatch, true);
+  ASSERT_GT(adopted.num_rows(), RowBatch::kDefaultBatchRows);
+
+  ExpectRowsEqual(row.rows(), adopted.rows());
+  ExpectStatsParity(row.exec_stats, adopted.exec_stats);
+  EXPECT_EQ(row.exec_stats.peak_memory_bytes,
+            adopted.exec_stats.peak_memory_bytes);
+  ExpectNearRel(row.seconds, adopted.seconds, kEnergyRelTol, "seconds");
+  ExpectNearRel(row.wall_joules, adopted.wall_joules, kEnergyRelTol,
+                "wall_joules");
+
+  ExpectRowsEqual(gathered.rows(), adopted.rows());
+  ExpectStatsEqual(gathered.exec_stats, adopted.exec_stats);
+  EXPECT_EQ(gathered.seconds, adopted.seconds);
+  EXPECT_EQ(gathered.cpu_joules, adopted.cpu_joules);
+  EXPECT_EQ(gathered.disk_joules, adopted.disk_joules);
+  EXPECT_EQ(gathered.wall_joules, adopted.wall_joules);
+  // Dedup counters are mode-dependent diagnostics; the two batch drains
+  // both borrow lineitem's strings.
+  EXPECT_EQ(gathered.exec_stats.dict_dedup_hits,
+            adopted.exec_stats.dict_dedup_hits);
+  EXPECT_EQ(gathered.exec_stats.dict_dedup_misses,
+            adopted.exec_stats.dict_dedup_misses);
+}
 
 }  // namespace
 }  // namespace ecodb

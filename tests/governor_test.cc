@@ -193,6 +193,75 @@ TEST_F(GovernorTest, MemoryBudgetExceededInBothModes) {
   EXPECT_TRUE(Run(*plan, roomy, ExecMode::kBatch).status.ok());
 }
 
+// A sort at the root of a batch-mode drain hands its columns to the
+// result, and the drain replays the batch pulls' governor checks and
+// charges chunk by chunk. A trip inside the drain must land where it does
+// when the same sort is gathered through a Limit above the row count.
+class RootSortDrainTest : public GovernorTest {
+ protected:
+  void SetUp() override {
+    plan_ = Plan("SELECT * FROM lineitem ORDER BY l_extendedprice, "
+                 "l_orderkey");
+    ASSERT_EQ(plan_->kind, PlanKind::kSort);
+    sort_only_ = MakeLimit(ClonePlan(*plan_), 0);  // sorts, drains nothing
+    gathered_ = MakeLimit(ClonePlan(*plan_), int64_t{1} << 40);
+    full_ = Run(*plan_, QueryLimits{}, ExecMode::kBatch);
+    sorted_ = Run(*sort_only_, QueryLimits{}, ExecMode::kBatch);
+    ASSERT_TRUE(full_.status.ok()) << full_.status.ToString();
+    ASSERT_TRUE(sorted_.status.ok()) << sorted_.status.ToString();
+    ASSERT_EQ(sorted_.stats.sort_compares, full_.stats.sort_compares);
+  }
+
+  /// Runs the root sort under `limits` in row mode, in batch mode
+  /// (adopted) and gathered (batch mode); each must fail with `code`
+  /// after the sort finished, and the two batch runs must match exactly.
+  void CheckTripInTheDrain(const QueryLimits& limits, StatusCode code) {
+    GovernedRun row = Run(*plan_, limits, ExecMode::kRow);
+    GovernedRun batch = Run(*plan_, limits, ExecMode::kBatch);
+    GovernedRun gather = Run(*gathered_, limits, ExecMode::kBatch);
+    for (const GovernedRun* r : {&row, &batch, &gather}) {
+      EXPECT_EQ(r->status.code(), code) << r->status.ToString();
+      EXPECT_EQ(r->stats.sort_compares, full_.stats.sort_compares);
+      EXPECT_GT(r->stats.tuples_output, 0u);
+      EXPECT_LT(r->stats.tuples_output, full_.stats.tuples_output);
+      ExpectLedgerSane(*r);
+    }
+    EXPECT_EQ(gather.stats.tuples_output, batch.stats.tuples_output);
+    EXPECT_EQ(gather.stats.cycles_charged, batch.stats.cycles_charged);
+    EXPECT_EQ(gather.stats.mem_lines_charged, batch.stats.mem_lines_charged);
+    EXPECT_EQ(gather.stats.peak_memory_bytes, batch.stats.peak_memory_bytes);
+    last_row_ = row;
+    last_batch_ = batch;
+  }
+
+  PlanNodePtr plan_, sort_only_, gathered_;
+  GovernedRun full_, sorted_, last_row_, last_batch_;
+};
+
+TEST_F(RootSortDrainTest, ChargedCycleCancelBetweenDrainChunks) {
+  const double sort_cycles = sorted_.stats.cycles_charged;
+  const double total = full_.stats.cycles_charged;
+  ASSERT_LT(sort_cycles, total);
+  QueryLimits limits;
+  limits.cancel_at_charged_cycles = (sort_cycles + total) / 2;
+  CheckTripInTheDrain(limits, StatusCode::kCancelled);
+  // Frozen at the same quantum boundary in charged-cycle space.
+  EXPECT_EQ(last_row_.stats.cycles_charged, last_batch_.stats.cycles_charged);
+  EXPECT_GT(last_batch_.stats.cycles_charged, sort_cycles);
+  EXPECT_LT(last_batch_.stats.cycles_charged, total);
+}
+
+TEST_F(RootSortDrainTest, MemoryBudgetBetweenSortPoolAndPoolPlusResult) {
+  // Above the sort's own peak (input columns plus keys), below the peak
+  // once the result is counted too: the budget trips in the drain.
+  const uint64_t pool_peak = sorted_.stats.peak_memory_bytes;
+  const uint64_t peak = full_.stats.peak_memory_bytes;
+  ASSERT_LT(pool_peak, peak);
+  QueryLimits limits;
+  limits.memory_budget_bytes = (pool_peak + peak) / 2;
+  CheckTripInTheDrain(limits, StatusCode::kResourceExhausted);
+}
+
 TEST_F(GovernorTest, ExternalCancelFlagStopsTheQuery) {
   PlanNodePtr plan = Plan("SELECT COUNT(*) AS n FROM lineitem");
   QueryLimits limits;

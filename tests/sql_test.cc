@@ -227,6 +227,70 @@ TEST_F(SqlEquivalenceTest, OrderByOrdinalOutOfRangeIsParseError) {
   }
 }
 
+TEST_F(SqlEquivalenceTest, OrderByNonProjectedColumnSortsUnderProjection) {
+  auto plan =
+      db_->PlanSql("SELECT n_name FROM nation ORDER BY n_nationkey DESC");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan.value()->kind, PlanKind::kProject);
+  ASSERT_EQ(plan.value()->children[0]->kind, PlanKind::kSort);
+  EXPECT_EQ(plan.value()->children[0]->children[0]->kind, PlanKind::kScan);
+  auto r = db_->ExecutePlanQuery(*plan.value());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().rows().size(), 25u);
+  ASSERT_EQ(r.value().rows()[0].size(), 1u);
+  EXPECT_EQ(r.value().rows()[0][0].AsString(), "UNITED STATES");  // key 24
+  EXPECT_EQ(r.value().rows()[24][0].AsString(), "ALGERIA");       // key 0
+
+  // Projected keys (an alias, a name) mix with a non-projected one; all
+  // of them bind below the projection.
+  auto mixed = db_->ExecuteSql(
+      "SELECT n_name AS nm, n_regionkey FROM nation "
+      "ORDER BY n_regionkey DESC, nm LIMIT 2");
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  ASSERT_EQ(mixed.value().rows().size(), 2u);
+  EXPECT_EQ(mixed.value().rows()[0][0].AsString(), "EGYPT");
+  EXPECT_EQ(mixed.value().rows()[1][0].AsString(), "IRAN");
+  auto hidden = db_->ExecuteSql(
+      "SELECT n_name FROM nation WHERE n_regionkey = 0 "
+      "ORDER BY n_regionkey, n_nationkey DESC LIMIT 1");
+  ASSERT_TRUE(hidden.ok()) << hidden.status().ToString();
+  EXPECT_EQ(hidden.value().rows()[0][0].AsString(), "MOZAMBIQUE");
+}
+
+TEST_F(SqlEquivalenceTest, OrderByProjectedKeysKeepsSortOnTop) {
+  for (const char* sql :
+       {"SELECT n_name, n_regionkey FROM nation ORDER BY n_regionkey",
+        "SELECT n_name AS nm FROM nation ORDER BY nm DESC",
+        "SELECT n_regionkey * 2 AS r2 FROM nation ORDER BY 1"}) {
+    SCOPED_TRACE(sql);
+    auto plan = db_->PlanSql(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_EQ(plan.value()->kind, PlanKind::kSort);
+    EXPECT_EQ(plan.value()->children[0]->kind, PlanKind::kProject);
+  }
+  // SELECT * ... ORDER BY a column: a sort straight over the scan.
+  for (const char* key : {"l_extendedprice", "l_partkey DESC"}) {
+    auto plan =
+        db_->PlanSql(std::string("SELECT * FROM lineitem ORDER BY ") + key);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_EQ(plan.value()->kind, PlanKind::kSort);
+    EXPECT_EQ(plan.value()->children[0]->kind, PlanKind::kScan);
+  }
+}
+
+TEST_F(SqlEquivalenceTest, OrderByNonProjectedColumnOfAggregateIsParseError) {
+  for (const char* sql :
+       {"SELECT n_regionkey, COUNT(*) AS n FROM nation GROUP BY n_regionkey "
+        "ORDER BY n_name",
+        "SELECT n_name FROM nation ORDER BY nocol",
+        "SELECT * FROM nation ORDER BY nocol"}) {
+    SCOPED_TRACE(sql);
+    auto r = db_->ExecuteSql(sql);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+  }
+}
+
 TEST_F(SqlEquivalenceTest, SelectDistinctNamesItselfAsUnsupported) {
   auto r = db_->ExecuteSql("SELECT DISTINCT r_regionkey FROM region");
   ASSERT_FALSE(r.ok());
