@@ -111,8 +111,8 @@ Result<PlanNodePtr> BuildOrderByLineitem(const Catalog& catalog) {
 
 /// Limit-topped aggregate: scan(lineitem) -> group by l_orderkey (many
 /// groups) -> SUM/COUNT -> LIMIT 100. Isolates the columnar HashAgg
-/// emission + truncating batched LimitOp: before PR 5 the aggregate
-/// boxed every group into result Rows and the limit row-pulled them.
+/// emission under a capped pull: the limit asks the aggregate for 100
+/// rows, gathered from its result columns.
 Result<PlanNodePtr> BuildLimitOverAgg(const Catalog& catalog) {
   ECODB_ASSIGN_OR_RETURN(PlanNodePtr scan, MakeScan(catalog, "lineitem"));
   const Schema& s = scan->output_schema;
@@ -237,11 +237,45 @@ Result<PlanNodePtr> BuildScanFilterAgg(const Catalog& catalog) {
   return MakeAggregate(std::move(filtered), {flag}, {revenue, cnt});
 }
 
+/// Full-width scan(lineitem) -> filter l_quantity < 25 (~48% pass),
+/// with or without LIMIT 50000 on top (the limit ends about 86% into the
+/// table). In batch mode the limit asks the filter, and the filter the
+/// scan, for at most what is left of it, so the limited query reads the
+/// same rows as row mode in full batches until the last few pulls.
+Result<PlanNodePtr> BuildFilterLineitem(const Catalog& catalog, bool limit) {
+  ECODB_ASSIGN_OR_RETURN(PlanNodePtr scan, MakeScan(catalog, "lineitem"));
+  ExprPtr qty = FieldCol(scan->output_schema, "l_quantity");
+  PlanNodePtr filtered =
+      MakeFilter(std::move(scan), Cmp(CompareOp::kLt, qty, LitInt(25)));
+  if (!limit) return filtered;
+  return MakeLimit(std::move(filtered), 50000);
+}
+
+/// orders |x| lineitem on orderkey (orders builds: distinct keys, one
+/// match per probe row), projected to two columns, with or without
+/// LIMIT 50000 on top.
+Result<PlanNodePtr> BuildJoinLineitemOrders(const Catalog& catalog,
+                                            bool limit) {
+  ECODB_ASSIGN_OR_RETURN(PlanNodePtr orders, MakeScan(catalog, "orders"));
+  ECODB_ASSIGN_OR_RETURN(PlanNodePtr lineitem, MakeScan(catalog, "lineitem"));
+  int ok_build = FieldIndexOrDie(orders->output_schema, "o_orderkey");
+  int ok_probe = FieldIndexOrDie(lineitem->output_schema, "l_orderkey");
+  PlanNodePtr joined = MakeHashJoin(std::move(orders), std::move(lineitem),
+                                    {ok_build}, {ok_probe});
+  const Schema& s = joined->output_schema;
+  PlanNodePtr projected = MakeProject(
+      std::move(joined),
+      {FieldCol(s, "o_orderdate"), FieldCol(s, "l_extendedprice")},
+      {"o_orderdate", "l_extendedprice"});
+  if (!limit) return projected;
+  return MakeLimit(std::move(projected), 50000);
+}
+
 ModeResult RunPlan(Database* db, const PlanNode& plan) {
   // Time iterations until both the iteration floor and the time budget
   // are met; report the median and IQR of the wall times.
   ModeResult out;
-  const size_t kMinIters = 3;
+  const size_t kMinIters = 10;
   const double kMinTotalSeconds = 0.25;
   double total = 0;
   std::vector<double> walls;
@@ -293,7 +327,7 @@ WallStats TimeHostOp(Fn&& fn) {
     wall = sample(batch);
   }
   std::vector<double> per_call = {wall / batch};
-  const int kMinSamples = 3;
+  const int kMinSamples = 10;
   const double kMinTotalSeconds = 0.25;
   double total = wall;
   for (int s = 1; s < kMinSamples || total < kMinTotalSeconds; ++s) {
@@ -364,6 +398,14 @@ int Main(int argc, char** argv) {
   add("join_orders_lineitem", &BuildJoinOrdersLineitem);
   add("order_by_lineitem", &BuildOrderByLineitem);
   add("limit_over_agg", &BuildLimitOverAgg);
+  add("limit_over_filter",
+      [](const Catalog& c) { return BuildFilterLineitem(c, true); });
+  add("filter_no_limit",
+      [](const Catalog& c) { return BuildFilterLineitem(c, false); });
+  add("limit_over_join",
+      [](const Catalog& c) { return BuildJoinLineitemOrders(c, true); });
+  add("join_no_limit",
+      [](const Catalog& c) { return BuildJoinLineitemOrders(c, false); });
   add("group_by_strings", &BuildGroupByStrings);
   add("dict_filter_strings", &BuildDictFilterStrings);
   add("dict_join_strings", &BuildDictJoinStrings);
@@ -385,7 +427,6 @@ int Main(int argc, char** argv) {
               static_cast<size_t>(RowBatch::kDefaultBatchRows));
   std::printf("  \"benchmarks\": [\n");
   std::vector<std::pair<std::string, double>> speedups;
-  std::vector<std::pair<std::string, double>> batch_walls;
   for (size_t i = 0; i < plans.size(); ++i) {
     ModeResult row_r = RunPlan(&row_db, *plans[i].row_plan);
     ModeResult batch_r = RunPlan(&batch_db, *plans[i].batch_plan);
@@ -395,15 +436,14 @@ int Main(int argc, char** argv) {
     speedups.emplace_back(plans[i].name,
                           row_r.wall_seconds_per_iter /
                               batch_r.wall_seconds_per_iter);
-    batch_walls.emplace_back(plans[i].name, batch_r.wall_seconds_per_iter);
   }
   std::printf("  ],\n");
 
   // Workers sweep: the same batch plans on the simulated-core schedule
-  // (exec/morsel.h) at increasing worker counts. Execution is
-  // single-threaded at every count, so the simulated metrics equal the
-  // batch run's and "speedup_vs_batch" (host wall time) only shows the
-  // host's timing noise. One database is reused across worker counts —
+  // (exec/morsel.h) at increasing worker counts, one run each. Execution
+  // is single-threaded at every count, so the simulated metrics equal the
+  // batch run's and host wall time would only time the same tree again;
+  // none is reported. One database is reused across worker counts —
   // exec_workers is a per-query knob.
   //
   // "sim_core_speedup" is the simulator's own concurrency
@@ -423,12 +463,6 @@ int Main(int argc, char** argv) {
                                "tpch_q3",        "tpch_q5",
                                "order_by_lineitem", "group_by_strings"};
   const int kWorkerCounts[] = {1, 2, 4, 8};
-  auto batch_wall_of = [&](const std::string& name) {
-    for (const auto& bw : batch_walls) {
-      if (bw.first == name) return bw.second;
-    }
-    return 0.0;
-  };
   auto build_sweep_plan = [&](const std::string& name) -> Result<PlanNodePtr> {
     if (name == "scan_filter_agg") return BuildScanFilterAgg(*par_db.catalog());
     if (name == "tpch_q1")
@@ -451,14 +485,9 @@ int Main(int argc, char** argv) {
                    name.c_str());
       return 1;
     }
-    double base_wall = batch_wall_of(name);
     double best_speedup = 0.0;
     for (size_t wi = 0; wi < std::size(kWorkerCounts); ++wi) {
       par_db.set_exec_workers(kWorkerCounts[wi]);
-      ModeResult r = RunPlan(&par_db, *plan.value());
-      double host_speedup =
-          r.wall_seconds_per_iter > 0 ? base_wall / r.wall_seconds_per_iter
-                                      : 0.0;
       // Simulated core speedup from one run with fresh core ledgers.
       par_db.machine()->ResetCoreLedgers();
       auto res = par_db.ExecutePlanQuery(*plan.value());
@@ -508,15 +537,11 @@ int Main(int argc, char** argv) {
                   wi + 1 == std::size(kWorkerCounts);
       std::printf(
           "    {\"name\": \"%s\", \"workers\": %d, "
-          "\"wall_seconds_per_iter\": %.6e, \"wall_seconds_iqr\": %.6e, "
-          "\"rows_per_sec\": %.6e, "
           "\"sim_seconds\": %.9e, \"sim_joules_per_query\": %.9e, "
-          "\"speedup_vs_batch\": %.2f, \"sim_makespan_s\": %.9e, "
+          "\"sim_makespan_s\": %.9e, "
           "\"sim_core_speedup\": %.2f, \"phases\": [",
-          name.c_str(), kWorkerCounts[wi], r.wall_seconds_per_iter,
-          r.wall_seconds_iqr, r.rows_per_sec, r.sim_seconds, r.sim_joules,
-          host_speedup,
-          ph.makespan_s, sim_speedup);
+          name.c_str(), kWorkerCounts[wi], res.value().seconds,
+          res.value().wall_joules, ph.makespan_s, sim_speedup);
       for (size_t pi = 0; pi < phase_aggs.size(); ++pi) {
         ParallelPhaseSummary ps =
             par_db.machine()->SummarizeCoreLedgers(phase_aggs[pi].ledgers);

@@ -23,35 +23,11 @@ ValueType AggSpec::ResultType() const {
   return ValueType::kNull;
 }
 
-// --- Operator (base NextBatch adapter) ---
+namespace {
 
-Status Operator::NextBatch(RowBatch* out, bool* has_rows) {
-  out->Reset(schema().num_fields());
-  Row row;
-  bool has = false;
-  size_t emitted = 0;
-  while (emitted < RowBatch::kDefaultBatchRows) {
-    ECODB_RETURN_NOT_OK(Next(&row, &has));
-    if (!has) break;
-    out->AppendRowMove(std::move(row));
-    row = Row();
-    ++emitted;
-  }
-  *has_rows = emitted > 0;
-  return Status::OK();
-}
+size_t CeilDiv(size_t a, size_t b) { return a / b + (a % b != 0 ? 1 : 0); }
 
-Status Operator::NextBatchCapped(RowBatch* out, bool* has_rows,
-                                 size_t max_rows) {
-  // Operators with materialized emission MUST override the capped form:
-  // their parents (LimitOp) rely on the bound being honored, and this
-  // adapter ignores it. Catch a forgotten override the first time any
-  // capped pull reaches it, not only when a limit truncates rows.
-  assert(!MaterializedEmission() &&
-         "MaterializedEmission operators must override NextBatchCapped");
-  (void)max_rows;  // streaming callers truncate themselves
-  return NextBatch(out, has_rows);
-}
+}  // namespace
 
 // --- SeqScanOp ---
 
@@ -97,7 +73,7 @@ Status SeqScanOp::Next(Row* out, bool* has_row) {
   return Status::OK();
 }
 
-Status SeqScanOp::NextBatch(RowBatch* out, bool* has_rows) {
+Status SeqScanOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
   ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
   const int num_cols = schema_.num_fields();
   out->Reset(num_cols);
@@ -108,8 +84,8 @@ Status SeqScanOp::NextBatch(RowBatch* out, bool* has_rows) {
     return Status::OK();
   }
   if (schedule_) schedule_->BeforeRow(next_row_);
-  const size_t take = static_cast<size_t>(
-      std::min<uint64_t>(RowBatch::kDefaultBatchRows, total - next_row_));
+  const size_t take = static_cast<size_t>(std::min<uint64_t>(
+      std::min(max_rows, RowBatch::kDefaultBatchRows), total - next_row_));
   const size_t batch_start = next_row_;
   const uint64_t rpp = file_->rows_per_page();
   // Account page-run by page-run: one FetchScanPages call per page entered
@@ -172,10 +148,12 @@ Status FilterOp::Next(Row* out, bool* has_row) {
   }
 }
 
-Status FilterOp::NextBatch(RowBatch* out, bool* has_rows) {
+Status FilterOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
+  // Each input row yields at most one output row, so the cap passes down
+  // unchanged.
   for (;;) {
     bool child_has = false;
-    ECODB_RETURN_NOT_OK(child_->NextBatch(out, &child_has));
+    ECODB_RETURN_NOT_OK(child_->NextBatch(out, &child_has, max_rows));
     if (!child_has) {
       *has_rows = false;
       return Status::OK();
@@ -340,9 +318,9 @@ void ProjectOp::EvalExprInto(size_t i, RowBatch* out) {
               &scratch_);
 }
 
-Status ProjectOp::NextBatch(RowBatch* out, bool* has_rows) {
+Status ProjectOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
   bool child_has = false;
-  ECODB_RETURN_NOT_OK(child_->NextBatch(&input_batch_, &child_has));
+  ECODB_RETURN_NOT_OK(child_->NextBatch(&input_batch_, &child_has, max_rows));
   if (!child_has) {
     *has_rows = false;
     return Status::OK();
@@ -408,7 +386,7 @@ Status HashJoinOp::ConsumeBuild() {
     std::vector<size_t> hash_scratch;
     for (;;) {
       ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
-      ECODB_RETURN_NOT_OK(build_child_->NextBatch(&batch, &has));
+      ECODB_RETURN_NOT_OK(build_child_->NextBatch(&batch, &has, kAllRows));
       if (!has) break;
       ctx_->ChargeHashBuilds(batch.active(), build_width);
       build_bytes_ += static_cast<uint64_t>(batch.active()) *
@@ -469,6 +447,9 @@ Status HashJoinOp::Open() {
   // before propagating (our own Close only closes the probe side).
   build_child_->Close();
   ECODB_RETURN_NOT_OK(consume);
+  fan_out_ = index_.size() == 0
+                 ? 0
+                 : index_.size() - index_.distinct_hashes() + 1;
   // Grace-hash spill of the build side (commercial profile).
   ECODB_RETURN_NOT_OK(ctx_->ChargeSpill(build_bytes_));
   probe_rows_ = 0;
@@ -673,18 +654,18 @@ void HashJoinOp::FlushMatches(RowBatch* out) {
   match_probe_.clear();
 }
 
-Status HashJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
+Status HashJoinOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
   const int num_cols = schema_.num_fields();
   const int probe_width = probe_child_->schema().RowWidth();
+  const size_t cap = std::min(max_rows, RowBatch::kDefaultBatchRows);
   out->Reset(num_cols);
   match_build_.clear();
   match_probe_.clear();
   size_t emitted = 0;
-  while (emitted < RowBatch::kDefaultBatchRows) {
+  while (emitted < cap) {
     if (probe_valid_) {
       const uint32_t pr = probe_batch_.sel()[probe_sel_pos_];
-      while (match_ != FlatHashIndex::kInvalid &&
-             emitted < RowBatch::kDefaultBatchRows) {
+      while (match_ != FlatHashIndex::kInvalid && emitted < cap) {
         const uint32_t idx = match_;
         match_ = index_.Next(idx);
         if (KeysEqual(idx,
@@ -700,12 +681,17 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
       ++probe_sel_pos_;
     }
     if (!probe_batch_valid_ || probe_sel_pos_ >= probe_batch_.active()) {
-      if (probe_eos_) break;
+      // Every probe row read so far is fully processed. Once the caller's
+      // demand is met nothing more is read; short of it, each further
+      // probe row matches at most fan_out_ build rows.
+      if (probe_eos_ || emitted == max_rows) break;
       // The pending matches reference the current probe batch; gather
       // them into `out` before the batch is overwritten.
       FlushMatches(out);
+      const size_t want =
+          fan_out_ == 0 ? kAllRows : CeilDiv(max_rows - emitted, fan_out_);
       bool has = false;
-      ECODB_RETURN_NOT_OK(probe_child_->NextBatch(&probe_batch_, &has));
+      ECODB_RETURN_NOT_OK(probe_child_->NextBatch(&probe_batch_, &has, want));
       if (!has) {
         probe_eos_ = true;
         break;
@@ -755,7 +741,7 @@ Status NestedLoopJoinOp::ConsumeInnerSide() {
     bool has = false;
     for (;;) {
       ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
-      ECODB_RETURN_NOT_OK(inner_->NextBatch(&batch, &has));
+      ECODB_RETURN_NOT_OK(inner_->NextBatch(&batch, &has, kAllRows));
       if (!has) break;
       const size_t need = inner_rows_.size() + batch.active();
       if (inner_rows_.capacity() < need) {
@@ -846,11 +832,16 @@ Status NestedLoopJoinOp::Next(Row* out, bool* has_row) {
   }
 }
 
-Status NestedLoopJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
+Status NestedLoopJoinOp::NextBatch(RowBatch* out, bool* has_rows,
+                                   size_t max_rows) {
   const Schema& outer_schema = outer_->schema();
   const Schema& inner_schema = inner_->schema();
   const int outer_cols = outer_schema.num_fields();
   const int inner_cols = inner_schema.num_fields();
+  const size_t n_inner = inner_rows_.size();
+  // Each candidate pair yields at most one output row, so a batch builds
+  // at most the cap of them.
+  const size_t cap = std::min(max_rows, RowBatch::kDefaultBatchRows);
   for (;;) {
     out->Reset(schema_.num_fields());
     // Candidate rows are emitted as typed lanes, not boxed copies. Outer
@@ -864,11 +855,15 @@ Status NestedLoopJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
     if (outer_batch_valid_) out->RetainStringStorage(outer_batch_);
     size_t emitted = 0;
     // Build a batch of concatenated candidate rows.
-    while (emitted < RowBatch::kDefaultBatchRows) {
+    while (emitted < cap) {
       if (!outer_batch_valid_ || outer_sel_pos_ >= outer_batch_.active()) {
         if (outer_eos_) break;
+        // Every outer row read so far is fully paired; each further one
+        // gives n_inner candidates.
+        const size_t want =
+            n_inner == 0 ? kAllRows : CeilDiv(max_rows - emitted, n_inner);
         bool has = false;
-        ECODB_RETURN_NOT_OK(outer_->NextBatch(&outer_batch_, &has));
+        ECODB_RETURN_NOT_OK(outer_->NextBatch(&outer_batch_, &has, want));
         if (!has) {
           outer_eos_ = true;
           break;
@@ -879,8 +874,7 @@ Status NestedLoopJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
         out->RetainStringStorage(outer_batch_);
       }
       const uint32_t orow = outer_batch_.sel()[outer_sel_pos_];
-      while (inner_pos_ < inner_rows_.size() &&
-             emitted < RowBatch::kDefaultBatchRows) {
+      while (inner_pos_ < n_inner && emitted < cap) {
         const Row& inner_row = inner_rows_[inner_pos_++];
         for (int c = 0; c < outer_cols; ++c) {
           out->AppendCellDense(c, outer_schema.field(c).type,
@@ -895,7 +889,7 @@ Status NestedLoopJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
         }
         ++emitted;
       }
-      if (inner_pos_ >= inner_rows_.size()) {
+      if (inner_pos_ >= n_inner) {
         ++outer_sel_pos_;
         inner_pos_ = 0;
       } else {
@@ -1146,7 +1140,7 @@ Status HashAggOp::ConsumeChildBatchMode() {
   std::vector<size_t> key_code_bases(group_by_.size(), 0);
   for (;;) {
     ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
-    ECODB_RETURN_NOT_OK(child_->NextBatch(&batch, &has));
+    ECODB_RETURN_NOT_OK(child_->NextBatch(&batch, &has, kAllRows));
     if (!has) break;
     // Vectorized evaluation of group keys and aggregate arguments; the
     // scalar path evaluates the same expressions over the same rows.
@@ -1373,12 +1367,7 @@ Status HashAggOp::Next(Row* out, bool* has_row) {
   return Status::OK();
 }
 
-Status HashAggOp::NextBatch(RowBatch* out, bool* has_rows) {
-  return NextBatchCapped(out, has_rows, RowBatch::kDefaultBatchRows);
-}
-
-Status HashAggOp::NextBatchCapped(RowBatch* out, bool* has_rows,
-                                  size_t max_rows) {
+Status HashAggOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
   out->Reset(schema_.num_fields());
   if (result_pos_ >= n_results_) {
     *has_rows = false;
@@ -1386,10 +1375,6 @@ Status HashAggOp::NextBatchCapped(RowBatch* out, bool* has_rows,
   }
   const size_t take = std::min({RowBatch::kDefaultBatchRows, max_rows,
                                 n_results_ - result_pos_});
-  if (take == 0) {
-    *has_rows = false;
-    return Status::OK();
-  }
   emit_idx_.resize(take);
   for (size_t i = 0; i < take; ++i) {
     emit_idx_[i] = static_cast<uint32_t>(result_pos_ + i);
@@ -1543,7 +1528,7 @@ Status SortOp::ConsumeChildBatchMode() {
   std::vector<BatchOperand> key_vals(keys_.size());
   for (;;) {
     Status st = ctx_->CheckGovernor();
-    if (st.ok()) st = child_->NextBatch(&batch, &has);
+    if (st.ok()) st = child_->NextBatch(&batch, &has, kAllRows);
     if (!st.ok()) {
       child_->Close();
       return st;
@@ -1624,21 +1609,6 @@ Status SortOp::ConsumeChildBatchMode() {
 }
 
 Status SortOp::Next(Row* out, bool* has_row) {
-  // Batch-consumed state still serves row pulls (a streaming parent in a
-  // limited pipeline, or a row pull following a batch pull — both share
-  // pos_ over the immutable columns) by boxing from the typed columns.
-  if (columnar_) {
-    if (pos_ >= n_rows_) {
-      *has_row = false;
-      return Status::OK();
-    }
-    const uint32_t idx = order_[pos_++];
-    out->clear();
-    out->reserve(cols_.size());
-    for (const TypedColumn& c : cols_) out->push_back(c.GetValue(idx));
-    *has_row = true;
-    return Status::OK();
-  }
   if (pos_ >= rows_.size()) {
     *has_row = false;
     return Status::OK();
@@ -1648,41 +1618,24 @@ Status SortOp::Next(Row* out, bool* has_row) {
   return Status::OK();
 }
 
-Status SortOp::NextBatch(RowBatch* out, bool* has_rows) {
-  return NextBatchCapped(out, has_rows, RowBatch::kDefaultBatchRows);
-}
-
-Status SortOp::NextBatchCapped(RowBatch* out, bool* has_rows,
-                               size_t max_rows) {
+Status SortOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
+  // A batch pull follows a batch-mode Open, which consumed into cols_.
   out->Reset(schema().num_fields());
-  if (columnar_) {
-    if (pos_ >= n_rows_ || max_rows == 0) {
-      *has_rows = false;
-      return Status::OK();
-    }
-    const size_t take =
-        std::min({RowBatch::kDefaultBatchRows, max_rows, n_rows_ - pos_});
-    // Gather typed lanes in sorted order; strings go out by pointer into
-    // the columns' arenas (own and borrowed), which `out` retains.
-    for (int c = 0; c < static_cast<int>(cols_.size()); ++c) {
-      cols_[static_cast<size_t>(c)].GatherInto(out, c, order_.data() + pos_,
-                                               take);
-    }
-    pos_ += take;
-    out->set_num_rows(take);
-    out->ExtendIdentitySel(0);
-    *has_rows = true;
-    return Status::OK();
-  }
-  if (pos_ >= rows_.size() || max_rows == 0) {
+  if (pos_ >= n_rows_) {
     *has_rows = false;
     return Status::OK();
   }
   const size_t take =
-      std::min({RowBatch::kDefaultBatchRows, max_rows, rows_.size() - pos_});
-  for (size_t i = 0; i < take; ++i) {
-    out->AppendRowMove(std::move(rows_[pos_++]));
+      std::min({RowBatch::kDefaultBatchRows, max_rows, n_rows_ - pos_});
+  // Gather typed lanes in sorted order; strings go out by pointer into
+  // the columns' arenas (own and borrowed), which `out` retains.
+  for (int c = 0; c < static_cast<int>(cols_.size()); ++c) {
+    cols_[static_cast<size_t>(c)].GatherInto(out, c, order_.data() + pos_,
+                                             take);
   }
+  pos_ += take;
+  out->set_num_rows(take);
+  out->ExtendIdentitySel(0);
   *has_rows = true;
   return Status::OK();
 }
@@ -1733,7 +1686,7 @@ Status LimitOp::Open() {
 }
 
 Status LimitOp::Next(Row* out, bool* has_row) {
-  if (limit_ >= 0 && produced_ >= limit_) {
+  if (produced_ >= limit_) {
     *has_row = false;
     return Status::OK();
   }
@@ -1748,64 +1701,16 @@ Status LimitOp::Next(Row* out, bool* has_row) {
   return Status::OK();
 }
 
-Status LimitOp::NextBatch(RowBatch* out, bool* has_rows) {
-  return NextBatchCapped(out, has_rows, RowBatch::kDefaultBatchRows);
-}
-
-Status LimitOp::NextBatchCapped(RowBatch* out, bool* has_rows,
-                                size_t max_rows) {
-  // Materialized child (sort/aggregation/limit thereover): pull capped
-  // batches straight through — typed lanes, arena retention and the
-  // pool-backed marker all ride `out` untouched — and truncate with the
-  // selection vector. Parity-safe: all work below happened at the
-  // child's Open, identically in both modes, and its emission charges
-  // nothing, so stopping early perturbs no counter.
-  if (child_->MaterializedEmission()) {
-    if (limit_ >= 0 && produced_ >= limit_) {
-      out->Reset(child_->schema().num_fields());
-      *has_rows = false;
-      return Status::OK();
-    }
-    size_t want = max_rows;
-    if (limit_ >= 0) {
-      want = std::min(want, static_cast<size_t>(limit_ - produced_));
-    }
-    bool has = false;
-    ECODB_RETURN_NOT_OK(child_->NextBatchCapped(out, &has, want));
-    if (!has) {
-      *has_rows = false;
-      return Status::OK();
-    }
-    // A materialized child must honor the cap (every in-tree override
-    // does; the base adapter that ignores it belongs to streaming
-    // operators, which never reach this branch). An over-emitting child
-    // would mean rows its cursor already consumed get dropped here, so
-    // treat it as a contract violation, with release-mode truncation as
-    // the containment.
-    assert(out->active() <= want &&
-           "MaterializedEmission child ignored NextBatchCapped bound");
-    if (out->active() > want) out->sel().resize(want);
-    produced_ += static_cast<int64_t>(out->active());
-    *has_rows = !out->empty();
+Status LimitOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
+  const size_t left = static_cast<size_t>(limit_ - produced_);
+  if (left == 0) {
+    out->Reset(child_->schema().num_fields());
+    *has_rows = false;
     return Status::OK();
   }
-
-  // Streaming child: row-at-a-time pulls, so the subtree never reads (or
-  // charges) ahead of the limit.
-  out->Reset(child_->schema().num_fields());
-  Row row;
-  bool has = false;
-  size_t emitted = 0;
-  while (emitted < max_rows && emitted < RowBatch::kDefaultBatchRows &&
-         (limit_ < 0 || produced_ < limit_)) {
-    ECODB_RETURN_NOT_OK(child_->Next(&row, &has));
-    if (!has) break;
-    ++produced_;
-    out->AppendRowMove(std::move(row));
-    row = Row();
-    ++emitted;
-  }
-  *has_rows = emitted > 0;
+  ECODB_RETURN_NOT_OK(
+      child_->NextBatch(out, has_rows, std::min(max_rows, left)));
+  if (*has_rows) produced_ += static_cast<int64_t>(out->active());
   return Status::OK();
 }
 
@@ -1852,7 +1757,7 @@ Status ResultDrain::Pull(bool* done) {
       }
       return Status::OK();
     }
-    ECODB_RETURN_NOT_OK(op_->NextBatch(&batch_, &has));
+    ECODB_RETURN_NOT_OK(op_->NextBatch(&batch_, &has, Operator::kAllRows));
     *done = !has;
     if (has) {
       ChargeRows(batch_.active());

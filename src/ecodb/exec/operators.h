@@ -2,8 +2,8 @@
 //
 // Each operator pulls rows from its children and reports its logical work
 // to the ExecContext, which converts it into simulated CPU cycles, DRAM
-// traffic and disk I/O. Open/Next/Close life cycle; Next sets *has_row =
-// false at end of stream.
+// traffic and disk I/O. Life cycle: Open, then Next (row mode) or
+// NextBatch (batch mode) pulls until end of stream, then Close.
 
 #ifndef ECODB_EXEC_OPERATORS_H_
 #define ECODB_EXEC_OPERATORS_H_
@@ -28,36 +28,28 @@ namespace ecodb {
 
 class Operator {
  public:
+  /// `max_rows` of a caller that takes the whole stream (result drains,
+  /// pipeline breakers consuming their input).
+  static constexpr size_t kAllRows = static_cast<size_t>(-1);
+
   virtual ~Operator() = default;
   virtual Status Open() = 0;
+  /// Row-mode pull (the Volcano loop and the parity oracle): sets
+  /// *has_row = false at end of stream. Batch mode never calls it.
   virtual Status Next(Row* out, bool* has_row) = 0;
 
-  /// Vectorized pull: fills `out` (Reset by the callee) with up to
-  /// RowBatch::kDefaultBatchRows tuples and sets *has_rows = false at end
-  /// of stream. A returned batch always has at least one selected row.
+  /// Batch-mode pull: fills `out` (Reset by the callee) with at most
+  /// min(max_rows, RowBatch::kDefaultBatchRows) selected rows and sets
+  /// *has_rows = false at end of stream; a returned batch always has at
+  /// least one selected row. `max_rows` (>= 1) bounds how many more rows
+  /// the caller will take from this stream, and the callee reads and
+  /// charges only input that producing that many rows needs — the input
+  /// the early-stopping row engine reads too. A LimitOp passes what is
+  /// left of its limit; callers that drain the stream pass kAllRows.
   /// Pipeline breakers consult ExecContext::exec_mode() at Open to decide
   /// how to consume their children; the mode a tree is *driven* in is
-  /// decided by the root caller (ExecuteOperator). The base implementation
-  /// adapts row-at-a-time Next.
-  virtual Status NextBatch(RowBatch* out, bool* has_rows);
-
-  /// Bounded vectorized pull: like NextBatch, but emits at most
-  /// `max_rows` selected rows. Only meaningful on operators whose
-  /// emission is materialized (see MaterializedEmission) — they MUST
-  /// override it to gather exactly the requested slice (the base
-  /// implementation asserts it is never reached on one, then forwards
-  /// to NextBatch ignoring the bound).
-  virtual Status NextBatchCapped(RowBatch* out, bool* has_rows,
-                                 size_t max_rows);
-
-  /// True when this operator emits from operator-local materialized state
-  /// — Next/NextBatch perform no child pulls and no ExecContext charges.
-  /// A parent (LimitOp) may then pull batches and stop early without
-  /// perturbing any counter the simulation sees: all the work below
-  /// happened at Open, identically in both execution modes. Pipeline
-  /// breakers (sort, aggregation) return true; LimitOp forwards its
-  /// child's answer (its own emission adds no charges).
-  virtual bool MaterializedEmission() const { return false; }
+  /// decided by the root caller (ExecuteOperator).
+  virtual Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) = 0;
 
   /// Hands the operator's whole emission over as materialized columns
   /// (`*rows` rows each, in emission order, no memory tracker attached)
@@ -106,7 +98,7 @@ class SeqScanOp : public Operator {
 
   Status Open() override;
   Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "SeqScan(" + table_name_ + ")"; }
@@ -129,7 +121,7 @@ class FilterOp : public Operator {
 
   Status Open() override;
   Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   void Close() override;
   const Schema& schema() const override { return child_->schema(); }
   std::string name() const override {
@@ -155,7 +147,7 @@ class ProjectOp : public Operator {
 
   Status Open() override;
   Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "Project"; }
@@ -192,6 +184,12 @@ class ProjectOp : public Operator {
 /// instead of copied per match. Row mode hashes the materialized probe
 /// row. Either way each emitted match charges MatchComparisons(); chain
 /// entries that fail key equality (64-bit hash collisions) charge nothing.
+///
+/// A batch pull stops at its cap and leaves surplus matches in the chain
+/// cursor. It asks the probe child for ceil(remaining / F) rows, where F
+/// = size - distinct hashes + 1 bounds the matches of one probe row: the
+/// r-th output cannot be complete before probe row ceil(r / F), so the
+/// row engine reads every probe row this pull reads.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(ExecContext* ctx, OperatorPtr build, OperatorPtr probe,
@@ -199,7 +197,7 @@ class HashJoinOp : public Operator {
 
   Status Open() override;
   Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "HashJoin"; }
@@ -229,6 +227,9 @@ class HashJoinOp : public Operator {
   std::vector<TypedColumn> build_cols_;
   uint32_t build_rows_ = 0;
   uint64_t build_bytes_ = 0;
+  /// F, the most matches one probe row can have; 0 for an empty build,
+  /// whose probe side every mode drains.
+  size_t fan_out_ = 0;
 
   uint32_t match_ = FlatHashIndex::kInvalid;  ///< chain cursor (both modes)
   Row probe_row_;
@@ -251,7 +252,10 @@ class HashJoinOp : public Operator {
 };
 
 /// Nested-loop join with an arbitrary predicate over the concatenated row
-/// (inner side materialized at Open).
+/// (inner side materialized at Open). A batch pull builds at most its cap
+/// of candidate pairs (each yields at most one output row) and asks the
+/// outer child for ceil(candidates still wanted / inner rows) rows; over
+/// an empty inner side it drains the outer child, as row mode does.
 class NestedLoopJoinOp : public Operator {
  public:
   NestedLoopJoinOp(ExecContext* ctx, OperatorPtr outer, OperatorPtr inner,
@@ -259,7 +263,7 @@ class NestedLoopJoinOp : public Operator {
 
   Status Open() override;
   Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "NestedLoopJoin"; }
@@ -299,9 +303,8 @@ class NestedLoopJoinOp : public Operator {
 /// from the stored key Rows, SUM/AVG/COUNT accumulators finalized
 /// straight into double/int64 lanes — and then drops the pool. NextBatch
 /// gathers typed lanes out of those columns (strings by pointer into the
-/// columns' arenas, retained by each emitted batch); Next boxes from the
-/// same columns, so mixed Next/NextBatch pulls read one immutable store
-/// through one cursor.
+/// columns' arenas, retained by each emitted batch); row mode's Next
+/// boxes from the same columns.
 class HashAggOp : public Operator {
  public:
   HashAggOp(ExecContext* ctx, OperatorPtr child,
@@ -309,10 +312,7 @@ class HashAggOp : public Operator {
 
   Status Open() override;
   Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
-  Status NextBatchCapped(RowBatch* out, bool* has_rows,
-                         size_t max_rows) override;
-  bool MaterializedEmission() const override { return true; }
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "HashAgg"; }
@@ -410,10 +410,7 @@ class SortOp : public Operator {
 
   Status Open() override;
   Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
-  Status NextBatchCapped(RowBatch* out, bool* has_rows,
-                         size_t max_rows) override;
-  bool MaterializedEmission() const override { return true; }
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   bool TakeEmission(std::vector<TypedColumn>* columns, size_t* rows) override;
   void Close() override;
   const Schema& schema() const override { return child_->schema(); }
@@ -455,25 +452,16 @@ class SortOp : public Operator {
   size_t pos_ = 0;
 };
 
+/// LIMIT n. Both modes stop pulling once n rows went out. A batch pull
+/// asks the child for at most what is left of the limit, so the subtree
+/// reads exactly the rows the row engine reads before it stops.
 class LimitOp : public Operator {
  public:
   LimitOp(ExecContext* ctx, OperatorPtr child, int64_t limit);
 
   Status Open() override;
   Status Next(Row* out, bool* has_row) override;
-  /// Batched when the child's emission is materialized (sort,
-  /// aggregation, limit thereover): pulls capped batches and truncates
-  /// the final one with the selection vector — parity-safe because all
-  /// the work below such a child happened at its Open, identically in
-  /// both modes, and its emission charges nothing. Streaming children
-  /// (scan/filter/join/project) are still pulled row-at-a-time so a
-  /// limited pipeline never reads (or charges) ahead of the limit.
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
-  Status NextBatchCapped(RowBatch* out, bool* has_rows,
-                         size_t max_rows) override;
-  bool MaterializedEmission() const override {
-    return child_->MaterializedEmission();
-  }
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   void Close() override;
   const Schema& schema() const override { return child_->schema(); }
   std::string name() const override { return "Limit"; }
@@ -481,7 +469,7 @@ class LimitOp : public Operator {
  private:
   ExecContext* ctx_;
   OperatorPtr child_;
-  int64_t limit_;
+  int64_t limit_;  ///< >= 0 (ValidatePlan)
   int64_t produced_ = 0;
 };
 

@@ -43,6 +43,12 @@ class Parser {
     }
     return Status::OK();
   }
+  /// The error for a recognized SQL construct this dialect lacks, naming
+  /// it instead of failing on whatever token comes after it.
+  Status Unsupported(const std::string& what) const {
+    return Status::ParseError(
+        StrFormat("%s is not supported (offset %zu)", what.c_str(), Cur().pos));
+  }
   Status ExpectSymbol(const char* s) {
     if (!AcceptSymbol(s)) {
       return Status::ParseError(
@@ -115,6 +121,12 @@ Result<AstExprPtr> Parser::ParseNot() {
 
 Result<AstExprPtr> Parser::ParseComparison() {
   ECODB_ASSIGN_OR_RETURN(AstExprPtr left, ParseAdditive());
+
+  if (Cur().IsKeyword("LIKE") ||
+      (Cur().IsKeyword("NOT") && Ahead(1).IsKeyword("LIKE"))) {
+    return Unsupported("LIKE");
+  }
+  if (Cur().IsKeyword("IS")) return Unsupported("IS [NOT] NULL");
 
   if (AcceptKeyword("BETWEEN")) {
     ECODB_ASSIGN_OR_RETURN(AstExprPtr lo, ParseAdditive());
@@ -258,6 +270,7 @@ Result<AstExprPtr> Parser::ParsePrimary() {
       }
       break;
     case TokenKind::kIdent: {
+      if (t.upper == "CASE") return Unsupported("CASE");
       if (t.upper == "DATE" && Ahead(1).kind == TokenKind::kString) {
         Advance();
         auto node = MakeAst(AstKind::kDateLit);
@@ -309,11 +322,9 @@ Result<AstExprPtr> Parser::ParsePrimary() {
 
 Result<SelectStatement> Parser::Parse() {
   SelectStatement stmt;
+  if (Cur().IsKeyword("EXPLAIN")) return Unsupported("EXPLAIN");
   ECODB_RETURN_NOT_OK(ExpectKeyword("SELECT"));
-  if (Cur().IsKeyword("DISTINCT")) {
-    return Status::ParseError(
-        StrFormat("SELECT DISTINCT is not supported (offset %zu)", Cur().pos));
-  }
+  if (Cur().IsKeyword("DISTINCT")) return Unsupported("SELECT DISTINCT");
 
   if (AcceptSymbol("*")) {
     stmt.select_star = true;
@@ -338,31 +349,34 @@ Result<SelectStatement> Parser::Parse() {
   }
 
   ECODB_RETURN_NOT_OK(ExpectKeyword("FROM"));
-  std::vector<AstExprPtr> join_conditions;
-  for (;;) {
+  const auto table_name = [&]() -> Status {
     if (Cur().kind != TokenKind::kIdent) {
       return Status::ParseError(
           StrFormat("expected table name at offset %zu", Cur().pos));
     }
     stmt.from_tables.push_back(Cur().text);
     Advance();
-    if (AcceptSymbol(",")) continue;
-    if (Cur().IsKeyword("INNER") || Cur().IsKeyword("JOIN")) {
+    return Status::OK();
+  };
+  std::vector<AstExprPtr> join_conditions;
+  for (;;) {
+    ECODB_RETURN_NOT_OK(table_name());
+    // [INNER] JOIN t ON cond, any number of times.
+    for (;;) {
+      for (const char* outer : {"LEFT", "RIGHT", "FULL", "OUTER"}) {
+        if (Cur().IsKeyword(outer)) {
+          return Unsupported(std::string(outer) + " JOIN");
+        }
+      }
+      if (!Cur().IsKeyword("INNER") && !Cur().IsKeyword("JOIN")) break;
       AcceptKeyword("INNER");
       ECODB_RETURN_NOT_OK(ExpectKeyword("JOIN"));
-      if (Cur().kind != TokenKind::kIdent) {
-        return Status::ParseError(
-            StrFormat("expected table name at offset %zu", Cur().pos));
-      }
-      stmt.from_tables.push_back(Cur().text);
-      Advance();
+      ECODB_RETURN_NOT_OK(table_name());
       ECODB_RETURN_NOT_OK(ExpectKeyword("ON"));
       ECODB_ASSIGN_OR_RETURN(AstExprPtr cond, ParseExpr());
       join_conditions.push_back(std::move(cond));
-      // Allow chained JOIN ... ON ... JOIN ... ON ...
-      if (Cur().IsKeyword("INNER") || Cur().IsKeyword("JOIN")) continue;
     }
-    break;
+    if (!AcceptSymbol(",")) break;
   }
 
   if (AcceptKeyword("WHERE")) {
@@ -389,6 +403,8 @@ Result<SelectStatement> Parser::Parse() {
       if (!AcceptSymbol(",")) break;
     }
   }
+
+  if (Cur().IsKeyword("HAVING")) return Unsupported("HAVING");
 
   if (AcceptKeyword("ORDER")) {
     ECODB_RETURN_NOT_OK(ExpectKeyword("BY"));

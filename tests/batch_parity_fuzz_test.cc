@@ -7,10 +7,10 @@
 // chains, nested-loop joins, group-by aggregation, sort and limit — and
 // executes every plan in BOTH ExecModes AND in batch mode on the
 // simulated-core schedule (ECODB_FUZZ_WORKERS workers, default 3) —
-// limit-over-aggregate and
-// limit-over-sort take the truncating batched LimitOp, limit-over-join /
-// scan the row-pull fallback, with limits below, at and far above the
-// child cardinality, including 0 — asserting:
+// limits over aggregates and sorts cap the breaker's emission, limits
+// straight over joins, filters and scans cap every pull down to the
+// scan, with limits below, at and far above the child cardinality,
+// including 0 — asserting:
 //
 //   * identical result rows, in order;
 //   * bit-exact integer logical-work counters (the parity contract every
@@ -90,13 +90,14 @@ class BatchParityFuzzTest : public ::testing::Test {
     parallel_db_ = nullptr;
   }
 
-  void CheckPlanParity(uint64_t seed, bool breaker_root = false) {
+  /// Runs the plan `generate` makes from `seed` in every mode.
+  void CheckPlanParity(uint64_t seed,
+                       PlanNodePtr (testing::PlanFuzzer::*generate)()) {
     SCOPED_TRACE("fuzz seed " + std::to_string(seed) +
                  " (rerun with ECODB_FUZZ_SEED=" + std::to_string(seed) +
                  " ECODB_FUZZ_PLANS=1)");
     testing::PlanFuzzer fuzzer(seed, *row_db_->catalog());
-    PlanNodePtr plan =
-        breaker_root ? fuzzer.GenerateBreakerRoot() : fuzzer.Generate();
+    PlanNodePtr plan = (fuzzer.*generate)();
     ASSERT_NE(plan, nullptr);
     SCOPED_TRACE("plan:\n" + plan->Explain());
 
@@ -190,7 +191,7 @@ TEST_F(BatchParityFuzzTest, HundredsOfRandomPlansMatch) {
     n_plans = std::strtoull(s, nullptr, 0);
   }
   for (size_t i = 0; i < n_plans; ++i) {
-    CheckPlanParity(base_seed + i);
+    CheckPlanParity(base_seed + i, &testing::PlanFuzzer::Generate);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -210,7 +211,26 @@ TEST_F(BatchParityFuzzTest, BreakerRootPlansMatch) {
     n_plans = std::strtoull(s, nullptr, 0);
   }
   for (size_t i = 0; i < n_plans; ++i) {
-    CheckPlanParity(base_seed + i, /*breaker_root=*/true);
+    CheckPlanParity(base_seed + i, &testing::PlanFuzzer::GenerateBreakerRoot);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// Every plan is a LIMIT straight over a streaming subtree: capped pulls
+// through duplicate-key hash joins, nested-loop joins and low-selectivity
+// filters must read exactly the rows the early-stopping row engine reads.
+TEST_F(BatchParityFuzzTest, LimitedStreamPlansMatch) {
+  uint64_t base_seed = 0x11A17;
+  size_t n_plans = 96;
+  if (const char* s = std::getenv("ECODB_FUZZ_SEED")) {
+    base_seed = std::strtoull(s, nullptr, 0);
+  }
+  if (const char* s = std::getenv("ECODB_FUZZ_PLANS")) {
+    n_plans = std::strtoull(s, nullptr, 0);
+  }
+  for (size_t i = 0; i < n_plans; ++i) {
+    CheckPlanParity(base_seed + i,
+                    &testing::PlanFuzzer::GenerateLimitedStream);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

@@ -372,70 +372,194 @@ TEST_F(BatchParityTest, LimitOverAggregateManyGroups) {
 }
 
 TEST_F(BatchParityTest, LimitOverLimitOverSort) {
-  // Stacked limits over a materialized child: both LimitOps report
-  // materialized emission and forward capped pulls.
+  // Stacked limits over a sort: each LimitOp passes the smaller of its
+  // own remainder and its parent's cap down.
   ExpectParity(*MakeLimit(
       MakeLimit(MakeSort(Scan("big"), {SortKey{S(), true}}), 100), 12));
 }
 
-TEST_F(BatchParityTest, RowPullsAfterBatchPullOnMaterializedStacks) {
-  // A batch-mode parent can fall back to row pulls mid-stream (the
-  // pre-PR-5 LimitOp always did; the current one still does over
-  // streaming children). Aggregate, sort and limit emission must serve
-  // Next() after NextBatch() from one cursor over immutable state — no
-  // moved-from rows, no skipped or repeated positions.
-  auto check = [&](const PlanNodePtr& plan) {
-    ExecContext row_ctx(&machine_, &profile_, &catalog_, &pool_);
-    auto expect = ExecutePlan(*plan, &row_ctx, ExecMode::kRow);
-    ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+// --- LIMIT over streaming subtrees: capped batch pulls ---
+//
+// A LimitOp asks its child for at most what is left of the limit, and
+// every operator below reads only input that producing that many rows
+// needs, so the subtree reads exactly the rows the early-stopping row
+// engine reads: every counter stays equal to row mode.
 
-    ExecContext ctx(&machine_, &profile_, &catalog_, &pool_);
-    ctx.set_exec_mode(ExecMode::kBatch);
-    auto op = InstantiatePlan(*plan, &ctx);
-    ASSERT_TRUE(op.ok()) << op.status().ToString();
-    ASSERT_TRUE(op.value()->Open().ok());
-    std::vector<Row> got;
-    RowBatch batch;
-    bool has = false;
-    ASSERT_TRUE(op.value()->NextBatch(&batch, &has).ok());
-    if (has) {
-      for (uint32_t r : batch.sel()) {
-        Row row;
-        batch.MaterializeRow(r, &row);
-        got.push_back(std::move(row));
-      }
-    }
-    Row row;
-    for (;;) {
-      ASSERT_TRUE(op.value()->Next(&row, &has).ok());
-      if (!has) break;
-      got.push_back(row);
-    }
-    op.value()->Close();
-    ExpectRowsEqual(expect.value(), got);
-  };
+TEST_F(BatchParityTest, LimitOverLowSelectivityFilter) {
+  // ~1 in 20 rows passes, limits ending mid-batch and past the input.
+  for (int64_t limit : {1, 7, 60, 125, 126, 5000}) {
+    SCOPED_TRACE(limit);
+    ExpectParity(*MakeLimit(
+        MakeFilter(Scan("big"), Cmp(CompareOp::kLt, V(), LitDbl(125.0))),
+        limit));
+  }
+}
 
-  AggSpec sum;
-  sum.kind = AggSpec::Kind::kSum;
-  sum.arg = V();
-  sum.name = "sum";
-  // > 1024 groups, so row pulls continue past the first emitted batch.
-  check(MakeAggregate(Scan("big"), {K()}, {sum}));
-  // Sort with string payloads: Next() boxes from the typed columns the
-  // batch pull gathered from.
-  check(MakeSort(Scan("big"), {SortKey{S(), false}, SortKey{K(), true}}));
-  // Limit over sort: produced_ is shared between the batch and row paths.
-  check(MakeLimit(MakeSort(Scan("big"), {SortKey{K(), false}}), 1500));
-  // Limit over aggregate over a join: lanes all the way up.
-  AggSpec cnt;
-  cnt.kind = AggSpec::Kind::kCount;
-  cnt.arg = nullptr;
-  cnt.name = "n";
-  PlanNodePtr join = MakeHashJoin(Scan("small"), Scan("big"), {0}, {0});
-  check(MakeLimit(
-      MakeAggregate(std::move(join), {Col(5, ValueType::kString, "bs")},
-                    {cnt}),
-      2));
+TEST_F(BatchParityTest, LimitOverProjectOverFilter) {
+  ExpectParity(*MakeLimit(
+      MakeProject(MakeFilter(Scan("big"), Eq(S(), LitStr("s3"))),
+                  {Arith(ArithOp::kMul, K(), LitInt(3)), S()}, {"k3", "s"}),
+      100));
+}
+
+TEST_F(BatchParityTest, LimitOverDuplicateKeyJoin) {
+  // Joined on the string column: every build key repeats, so a probe row
+  // has several matches (F > 1) and the limit lands mid-chain.
+  for (int64_t limit : {1, 5, 333, 1500, 100000}) {
+    SCOPED_TRACE(limit);
+    ExpectParity(
+        *MakeLimit(MakeHashJoin(Scan("small"), Scan("big"), {2}, {2}), limit));
+    ExpectParity(*MakeLimit(
+        MakeFilter(MakeHashJoin(Scan("small"), Scan("big"), {2}, {2}),
+                   Cmp(CompareOp::kLt, Col(3, ValueType::kInt64, "k"),
+                       LitInt(300))),
+        limit));
+  }
+}
+
+TEST_F(BatchParityTest, LimitOverNestedLoopJoin) {
+  ExprPtr pred = Cmp(CompareOp::kLt, K(), Col(3, ValueType::kInt64, "k"));
+  for (int64_t limit : {1, 20, 700, 100000}) {
+    SCOPED_TRACE(limit);
+    ExpectParity(*MakeLimit(
+        MakeNestedLoopJoin(Scan("small"), Scan("big"), pred),
+        limit));
+    ExpectParity(*MakeLimit(
+        MakeNestedLoopJoin(Scan("big"), Scan("small"), nullptr), limit));
+  }
+  // An empty inner side: both modes drain the outer child.
+  ExpectParity(*MakeLimit(
+      MakeNestedLoopJoin(Scan("big"),
+                         MakeFilter(Scan("small"),
+                                    Cmp(CompareOp::kLt, K(), LitInt(0))),
+                         nullptr),
+      3));
+}
+
+/// A leaf that serves batches only: Next fails the query, so a batch-mode
+/// path that falls back to row pulls cannot pass unnoticed; so does a
+/// pull asking for no rows. Its int64 column `k` holds keys[i] in row i;
+/// it counts the rows it served.
+class BatchOnlySource : public Operator {
+ public:
+  explicit BatchOnlySource(std::vector<int64_t> keys)
+      : keys_(std::move(keys)), schema_({Field("k", ValueType::kInt64)}) {}
+
+  Status Open() override {
+    pos_ = 0;
+    return Status::OK();
+  }
+  Status Next(Row*, bool*) override {
+    return Status::Internal("row pull from a batch-mode plan");
+  }
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override {
+    if (max_rows == 0) return Status::Internal("batch pull of 0 rows");
+    out->Reset(1);
+    const size_t take =
+        std::min({max_rows, RowBatch::kDefaultBatchRows, keys_.size() - pos_});
+    for (size_t i = 0; i < take; ++i) {
+      out->AppendRowMove(Row{Value::Int(keys_[pos_++])});
+    }
+    *has_rows = take > 0;
+    return Status::OK();
+  }
+  void Close() override {}
+  const Schema& schema() const override { return schema_; }
+  std::string name() const override { return "BatchOnlySource"; }
+
+  size_t served() const { return pos_; }
+
+ private:
+  std::vector<int64_t> keys_;
+  Schema schema_;
+  size_t pos_ = 0;
+};
+
+/// keys[i] = i % mod for i < n.
+std::vector<int64_t> ModKeys(size_t n, int64_t mod) {
+  std::vector<int64_t> keys(n);
+  for (size_t i = 0; i < n; ++i) keys[i] = static_cast<int64_t>(i) % mod;
+  return keys;
+}
+
+class NoRowPullTest : public BatchParityTest {
+ protected:
+  /// Drains `root` (built on ctx_) in batch mode; returns the number of
+  /// result rows.
+  size_t Drain(Operator* root) {
+    auto res = ExecuteOperatorColumnar(root, &ctx_, ExecMode::kBatch);
+    EXPECT_TRUE(res.ok()) << res.status().ToString();
+    return res.ok() ? res.value().num_rows() : 0;
+  }
+  OperatorPtr Source(std::vector<int64_t> keys, BatchOnlySource** handle) {
+    auto src = std::make_unique<BatchOnlySource>(std::move(keys));
+    *handle = src.get();
+    return src;
+  }
+  ExecContext ctx_{&machine_, &profile_, &catalog_, &pool_};
+};
+
+TEST_F(NoRowPullTest, LimitOverFilter) {
+  // k == 3 passes every 4th row; the 10th passing row is row 39, which
+  // is where the row engine stops reading.
+  BatchOnlySource* src = nullptr;
+  LimitOp limit(&ctx_,
+                std::make_unique<FilterOp>(
+                    &ctx_, Source(ModKeys(5000, 4), &src),
+                    Eq(Col(0, ValueType::kInt64, "k"), LitInt(3))),
+                10);
+  EXPECT_EQ(Drain(&limit), 10u);
+  EXPECT_EQ(src->served(), 40u);
+}
+
+TEST_F(NoRowPullTest, LimitOverProject) {
+  BatchOnlySource* src = nullptr;
+  std::vector<ExprPtr> exprs;
+  exprs.push_back(Arith(ArithOp::kAdd, Col(0, ValueType::kInt64, "k"),
+                        LitInt(1)));
+  LimitOp limit(&ctx_,
+                std::make_unique<ProjectOp>(&ctx_,
+                                            Source(ModKeys(5000, 7), &src),
+                                            std::move(exprs),
+                                            std::vector<std::string>{"k1"}),
+                1500);
+  EXPECT_EQ(Drain(&limit), 1500u);
+  EXPECT_EQ(src->served(), 1500u);
+}
+
+TEST_F(NoRowPullTest, LimitOverDuplicateKeyHashJoin) {
+  // Build keys {0, 0, 0, 1}: F = 4 - 2 + 1 = 3, and every probe row
+  // (key 0) matches 3 build rows. 10 rows need ceil(10 / 3) = 4 probe
+  // rows, and the surplus matches of the 4th stay in the chain cursor; 9
+  // rows end exactly with the 3rd probe row, and nothing more is read.
+  for (const auto& [rows, probe_rows] :
+       {std::pair<size_t, size_t>{10, 4}, {9, 3}, {1, 1}}) {
+    SCOPED_TRACE(rows);
+    BatchOnlySource* build = nullptr;
+    BatchOnlySource* probe = nullptr;
+    LimitOp limit(&ctx_,
+                  std::make_unique<HashJoinOp>(
+                      &ctx_, Source({0, 0, 0, 1}, &build),
+                      Source(std::vector<int64_t>(3000, 0), &probe),
+                      std::vector<int>{0}, std::vector<int>{0}),
+                  static_cast<int64_t>(rows));
+    EXPECT_EQ(Drain(&limit), rows);
+    EXPECT_EQ(build->served(), 4u);
+    EXPECT_EQ(probe->served(), probe_rows);
+  }
+}
+
+TEST_F(NoRowPullTest, LimitOverNestedLoopJoinWithEmptyInner) {
+  // No output row exists, so both modes drain the outer child.
+  BatchOnlySource* outer = nullptr;
+  BatchOnlySource* inner = nullptr;
+  LimitOp limit(&ctx_,
+                std::make_unique<NestedLoopJoinOp>(
+                    &ctx_, Source(ModKeys(3000, 5), &outer),
+                    Source({}, &inner), nullptr),
+                3);
+  EXPECT_EQ(Drain(&limit), 0u);
+  EXPECT_EQ(outer->served(), 3000u);
 }
 
 // --- Sort at the root: the ResultSet adopts the sort's columns ---
@@ -467,7 +591,7 @@ TEST_F(BatchParityTest, SortTakeEmissionOnlyAtABatchModeSortBeforeAnyPull) {
     if (pull_first) {
       RowBatch batch;
       bool has = false;
-      EXPECT_TRUE(op.value()->NextBatch(&batch, &has).ok());
+      EXPECT_TRUE(op.value()->NextBatch(&batch, &has, Operator::kAllRows).ok());
     }
     std::vector<TypedColumn> cols;
     size_t rows = 0;
@@ -478,7 +602,7 @@ TEST_F(BatchParityTest, SortTakeEmissionOnlyAtABatchModeSortBeforeAnyPull) {
       // Handed-off columns are end of stream for the operator.
       RowBatch batch;
       bool has = true;
-      EXPECT_TRUE(op.value()->NextBatch(&batch, &has).ok());
+      EXPECT_TRUE(op.value()->NextBatch(&batch, &has, Operator::kAllRows).ok());
       EXPECT_FALSE(has);
     }
     op.value()->Close();

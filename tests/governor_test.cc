@@ -153,6 +153,26 @@ TEST_F(GovernorTest, CancelMidLimitedPipeline) {
       "WHERE o_orderkey = l_orderkey LIMIT 1000000");
 }
 
+TEST_F(GovernorTest, CancelBetweenCappedPulls) {
+  // LIMIT 500 over a 20-way OR on l_partkey that passes about 1% of
+  // lineitem: every batch pull below the limit is capped under one batch
+  // (at most what is left of the limit), and the predicate dominates the
+  // charged work, so the trip at half the cycles lands between two
+  // capped pulls well before the limit is reached.
+  std::string sql = "SELECT l_orderkey, l_extendedprice FROM lineitem WHERE ";
+  for (int i = 0; i < 20; ++i) {
+    sql += (i > 0 ? " OR l_partkey = " : "l_partkey = ") +
+           std::to_string(1 + 97 * i);
+  }
+  sql += " LIMIT 500";
+  auto full = db_->ExecuteSql(sql);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(full.value().num_rows(), 500u);
+  ASSERT_LT(full.value().exec_stats.tuples_scanned,
+            db_->catalog()->FindEntry("lineitem")->table->num_rows());
+  CheckCancelMidStream(sql);
+}
+
 TEST_F(GovernorTest, DeadlineExceededMidQuery) {
   PlanNodePtr plan = Plan("SELECT * FROM lineitem ORDER BY l_extendedprice");
   GovernedRun full = Run(*plan, QueryLimits{}, ExecMode::kRow);

@@ -9,9 +9,11 @@
 // hash-join chains, string-keyed joins, nested-loop joins, group-by
 // aggregation (biased toward string keys: low-cardinality dict columns
 // drive the per-code group memo, free-text comments the abandoned-dict
-// fallback), sort and limit. Every plan is a deterministic function of
-// its seed and the catalog contents, so a failing seed reproduces
-// exactly.
+// fallback), sort and limit — including limits straight over streaming
+// subtrees (duplicate-key hash joins, nested-loop joins, low-selectivity
+// filters), whose every operator serves capped batch pulls. Every plan
+// is a deterministic function of its seed and the catalog contents, so a
+// failing seed reproduces exactly.
 
 #ifndef ECODB_TESTS_PLAN_FUZZER_H_
 #define ECODB_TESTS_PLAN_FUZZER_H_
@@ -74,6 +76,46 @@ class PlanFuzzer {
       sp.node = MakeLimit(std::move(sp.node), RandomLimitValue());
     }
     return std::move(sp.node);
+  }
+
+  /// A LIMIT straight over a streaming subtree (no sort or aggregate in
+  /// between), so every operator below serves capped batch pulls: hash
+  /// joins built on the many side (several matches per probe row),
+  /// nested-loop joins (some with an empty inner side), FK joins and
+  /// plain scans, under low-selectivity filters half the time, with
+  /// limits that end mid-batch, at batch boundaries and past the input.
+  /// Same determinism contract as Generate().
+  PlanNodePtr GenerateLimitedStream() {
+    SubPlan sp;
+    switch (Roll(4)) {
+      case 0:
+        sp = GenerateDuplicateKeyJoin();
+        break;
+      case 1:
+        sp = GenerateLimitedNestedLoop();
+        break;
+      case 2:
+        sp = GenerateJoin(1 + static_cast<int>(Roll(2)));
+        break;
+      default: {
+        static const char* kTables[] = {"lineitem", "orders", "customer",
+                                        "supplier"};
+        sp = ScanOf(kTables[Roll(4)]);
+        break;
+      }
+    }
+    if (Coin(0.5)) {
+      ApplyLowSelectivityFilter(&sp);
+    } else {
+      MaybeFilter(&sp, 0.4);
+    }
+    if (Coin(0.3)) ApplyProject(&sp);
+    int64_t limit = RandomLimitValue();
+    if (Coin(0.3)) {  // one or two batches, give or take a row
+      limit = static_cast<int64_t>(RowBatch::kDefaultBatchRows * (1 + Roll(2)));
+      limit += static_cast<int64_t>(Roll(3)) - 1;
+    }
+    return MakeLimit(std::move(sp.node), limit);
   }
 
  private:
@@ -289,15 +331,16 @@ class PlanFuzzer {
     const char* child_key;
   };
 
+  static constexpr FkEdge kFkEdges[] = {
+      {"orders", "o_orderkey", "lineitem", "l_orderkey"},
+      {"customer", "c_custkey", "orders", "o_custkey"},
+      {"nation", "n_nationkey", "customer", "c_nationkey"},
+      {"nation", "n_nationkey", "supplier", "s_nationkey"},
+      {"region", "r_regionkey", "nation", "n_regionkey"},
+  };
+
   SubPlan GenerateJoin(int n_joins) {
-    static const FkEdge kEdges[] = {
-        {"orders", "o_orderkey", "lineitem", "l_orderkey"},
-        {"customer", "c_custkey", "orders", "o_custkey"},
-        {"nation", "n_nationkey", "customer", "c_nationkey"},
-        {"nation", "n_nationkey", "supplier", "s_nationkey"},
-        {"region", "r_regionkey", "nation", "n_regionkey"},
-    };
-    const FkEdge& e = kEdges[Roll(5)];
+    const FkEdge& e = kFkEdges[Roll(5)];
     SubPlan build = ScanOf(e.parent);
     MaybeFilter(&build, 0.5);
     SubPlan probe = ScanOf(e.child);
@@ -333,6 +376,80 @@ class PlanFuzzer {
       return two;
     }
     return joined;
+  }
+
+  /// An FK join built on the child (many) side and probed by the parent:
+  /// every build key repeats, so one probe row matches many build rows
+  /// and a limit can end mid-chain. Output stays linear in the child.
+  SubPlan GenerateDuplicateKeyJoin() {
+    const FkEdge& e = kFkEdges[Roll(5)];
+    SubPlan build = ScanOf(e.child);
+    MaybeFilter(&build, 0.3);
+    SubPlan probe = ScanOf(e.parent);
+    MaybeFilter(&probe, 0.3);
+    const int bk = build.node->output_schema.FindField(e.child_key);
+    const int pk = probe.node->output_schema.FindField(e.parent_key);
+    SubPlan joined;
+    joined.sources = build.sources;
+    joined.sources.insert(joined.sources.end(), probe.sources.begin(),
+                          probe.sources.end());
+    joined.node = MakeHashJoin(std::move(build.node), std::move(probe.node),
+                               {bk}, {pk});
+    return joined;
+  }
+
+  /// A nested-loop join of a nation-keyed table with region under an
+  /// optional key comparison; a quarter of the time the inner side is
+  /// filtered to nothing, and then every mode drains the outer side.
+  SubPlan GenerateLimitedNestedLoop() {
+    static const char* kOuter[] = {"nation", "supplier", "customer"};
+    static const char* kOuterKey[] = {"n_regionkey", "s_nationkey",
+                                      "c_nationkey"};
+    const size_t o = Roll(3);
+    SubPlan outer = ScanOf(kOuter[o]);
+    MaybeFilter(&outer, 0.3);
+    SubPlan inner = ScanOf("region");
+    const int rk = inner.node->output_schema.FindField("r_regionkey");
+    if (Coin(0.25)) {
+      inner.node = MakeFilter(std::move(inner.node),
+                              Cmp(CompareOp::kLt, ColOf(inner, rk), LitInt(0)));
+    }
+    ExprPtr pred = nullptr;
+    if (Coin(0.7)) {
+      const int ok = outer.node->output_schema.FindField(kOuterKey[o]);
+      const int width = outer.node->output_schema.num_fields();
+      pred = Cmp(RandomCompareOp(), ColOf(outer, ok),
+                 Col(width + rk, ValueType::kInt64, "r_regionkey"));
+    }
+    SubPlan joined;
+    joined.sources = outer.sources;
+    joined.sources.insert(joined.sources.end(), inner.sources.begin(),
+                          inner.sources.end());
+    joined.node = MakeNestedLoopJoin(std::move(outer.node),
+                                     std::move(inner.node), std::move(pred));
+    return joined;
+  }
+
+  /// A filter that passes few rows: equality with a value sampled from a
+  /// numeric field, or "below the least of four samples" (about a fifth
+  /// of the rows). A limit over it ends only after many capped pulls.
+  void ApplyLowSelectivityFilter(SubPlan* sp) {
+    std::vector<int> numeric = FieldsOfClass(*sp, /*numeric=*/true);
+    if (numeric.empty()) return;
+    const int idx = numeric[Roll(numeric.size())];
+    auto lit = SampleLiteral(*sp, idx);
+    if (!lit.has_value()) return;
+    if (Coin(0.5)) {
+      sp->node =
+          MakeFilter(std::move(sp->node), Eq(ColOf(*sp, idx), Lit(*lit)));
+      return;
+    }
+    for (int i = 0; i < 3; ++i) {
+      auto v = SampleLiteral(*sp, idx);
+      if (v.has_value() && v->Compare(*lit) < 0) lit = v;
+    }
+    sp->node = MakeFilter(std::move(sp->node),
+                          Cmp(CompareOp::kLt, ColOf(*sp, idx), Lit(*lit)));
   }
 
   /// A projection that passes every field of `sp` through by column
@@ -554,9 +671,9 @@ class PlanFuzzer {
       ApplySort(sp);
       breaker = true;
     }
-    // LIMIT over aggregate / sort exercises the truncating batched
-    // LimitOp (capped pulls from materialized emission); LIMIT straight
-    // over joins/scans/filters gates the row-pull fallback.
+    // LIMIT over aggregate / sort caps the breaker's emission; LIMIT
+    // straight over joins/scans/filters caps every streaming operator's
+    // pulls, down to the scan.
     if (Coin(breaker ? 0.4 : 0.3)) {
       sp->node = MakeLimit(std::move(sp->node), RandomLimitValue());
     }

@@ -301,6 +301,87 @@ TEST_F(SqlEquivalenceTest, SelectDistinctNamesItselfAsUnsupported) {
       << r.status().ToString();
 }
 
+/// SQL this dialect does not support fails with a ParseError that names
+/// the construct, not with the token that happens to follow it.
+struct UnsupportedSql {
+  const char* sql;
+  const char* construct;
+};
+
+class UnsupportedSqlTest : public ::testing::TestWithParam<UnsupportedSql> {};
+
+TEST_P(UnsupportedSqlTest, ParseErrorNamesTheConstruct) {
+  auto stmt = ParseSelect(GetParam().sql);
+  ASSERT_FALSE(stmt.ok()) << "accepted: " << GetParam().sql;
+  const Status& st = stmt.status();
+  EXPECT_TRUE(st.IsParseError()) << st.ToString();
+  EXPECT_NE(st.message().find(GetParam().construct), std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.message().find("is not supported"), std::string::npos)
+      << st.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Constructs, UnsupportedSqlTest,
+    ::testing::Values(
+        UnsupportedSql{"SELECT n_name FROM nation WHERE n_name LIKE 'A%'",
+                       "LIKE"},
+        UnsupportedSql{
+            "SELECT n_name FROM nation WHERE n_name NOT LIKE 'A%'", "LIKE"},
+        UnsupportedSql{"SELECT n_regionkey, COUNT(*) AS n FROM nation "
+                       "GROUP BY n_regionkey HAVING COUNT(*) > 4",
+                       "HAVING"},
+        UnsupportedSql{"SELECT CASE WHEN n_nationkey > 3 THEN 1 ELSE 0 END "
+                       "FROM nation",
+                       "CASE"},
+        UnsupportedSql{"SELECT n_name FROM nation WHERE n_comment IS NULL",
+                       "IS [NOT] NULL"},
+        UnsupportedSql{
+            "SELECT n_name FROM nation WHERE n_comment IS NOT NULL",
+            "IS [NOT] NULL"},
+        UnsupportedSql{"SELECT n_name FROM nation LEFT JOIN region "
+                       "ON n_regionkey = r_regionkey",
+                       "LEFT JOIN"},
+        UnsupportedSql{"SELECT n_name FROM nation LEFT OUTER JOIN region "
+                       "ON n_regionkey = r_regionkey",
+                       "LEFT JOIN"},
+        UnsupportedSql{"SELECT s_name FROM nation JOIN region "
+                       "ON n_regionkey = r_regionkey FULL OUTER JOIN "
+                       "supplier ON s_nationkey = n_nationkey",
+                       "FULL JOIN"},
+        UnsupportedSql{"EXPLAIN SELECT n_name FROM nation", "EXPLAIN"}));
+
+TEST(ParserTest, ChainedJoinsFoldEveryConditionIntoWhere) {
+  auto stmt = ParseSelect(
+      "SELECT s_name FROM nation JOIN region ON n_regionkey = r_regionkey "
+      "INNER JOIN supplier ON s_nationkey = n_nationkey, customer "
+      "WHERE c_nationkey = n_nationkey");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  EXPECT_EQ(stmt.value().from_tables,
+            (std::vector<std::string>{"nation", "region", "supplier",
+                                      "customer"}));
+  // WHERE AND the two ON conditions, nested left-deep.
+  const auto& where = *stmt.value().where;
+  ASSERT_EQ(where.kind, sql::AstKind::kLogical);
+  EXPECT_EQ(where.args.size(), 2u);
+  EXPECT_EQ(where.args[0]->kind, sql::AstKind::kLogical);
+}
+
+TEST_F(SqlEquivalenceTest, ChainedJoinRunsLikeTheCommaJoin) {
+  auto joined = db_->ExecuteSql(
+      "SELECT COUNT(*) AS n FROM nation JOIN region "
+      "ON n_regionkey = r_regionkey JOIN supplier ON s_nationkey = "
+      "n_nationkey");
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  auto comma = db_->ExecuteSql(
+      "SELECT COUNT(*) AS n FROM nation, region, supplier "
+      "WHERE n_regionkey = r_regionkey AND s_nationkey = n_nationkey");
+  ASSERT_TRUE(comma.ok()) << comma.status().ToString();
+  EXPECT_EQ(joined.value().rows()[0][0].AsInt(),
+            comma.value().rows()[0][0].AsInt());
+  EXPECT_GT(comma.value().rows()[0][0].AsInt(), 0);
+}
+
 TEST_F(SqlEquivalenceTest, Int64OverflowIsNull) {
   auto r = db_->ExecuteSql(
       "SELECT 9223372036854775807 + 1, r_regionkey * 2 FROM region "

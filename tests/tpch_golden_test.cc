@@ -82,9 +82,9 @@ const char* const kStringOrderByExpected[] = {
 };
 
 // LIMIT directly over a string-bearing join (no sort between): in batch
-// mode the LimitOp row-pulls the streaming projection, moving boxed rows
-// whose string payloads must arrive intact — the lifetime edge the PR 5
-// LimitOp rework could have disturbed. Nation/region contents are fixed
+// mode the LimitOp pulls capped batches through the projection and the
+// join, whose string lanes point into table and pool storage and must
+// arrive intact. Nation/region contents are fixed
 // by the TPC-H spec; the join is probe-driven, so output follows nation
 // insertion order.
 const char* const kLimitOverJoinStringsExpected[] = {
